@@ -5,25 +5,25 @@ import (
 	"repro/internal/pdm"
 )
 
-// Backend abstracts the storage a Permuter's D simulated disks live on, at
-// parallel-block granularity: every counted parallel I/O reaches the
-// backend as one ReadBlocks or WriteBlocks call carrying at most one block
-// per disk. Implement it to put the record store on anything — object
-// storage, a network block service, compressed files — without touching
-// the permutation engines; the disk system above the backend performs all
-// validation and cost accounting.
+// Backend abstracts the storage a Permuter's D simulated disks live on.
+// Its one transfer primitive is the block run (RangeXfer): every counted
+// parallel I/O reaches the backend as one ReadBlockRanges or
+// WriteBlockRanges call carrying one single-block run per participating
+// disk, and a grouped parallel I/O arrives as one call carrying coalesced
+// multi-block runs, possibly several per disk. Implement it to put the
+// record store on anything — object storage, a network block service,
+// compressed files — without touching the permutation engines; the disk
+// system above the backend performs all model validation and cost
+// accounting.
 //
-// Implementations must tolerate ReadBlocks/WriteBlocks calls from distinct
-// goroutines (the pipelined pass runner overlaps a prefetch read with an
-// in-flight write) and must serialize per-disk access themselves; see the
-// interface documentation in internal/pdm for the full contract. The three
-// built-in backends — MemBackend, FileBackend, ShardedBackend — cover RAM,
-// single-directory, and multi-volume layouts.
+// Implementations must tolerate calls from distinct goroutines (the
+// pipelined pass runner overlaps a prefetch read with an in-flight write),
+// must serialize per-disk access themselves, and must not retain a
+// transfer's Data after the call returns; see the interface documentation
+// in internal/pdm for the full contract. The three built-in backends —
+// MemBackend, FileBackend, ShardedBackend — cover RAM, single-directory,
+// and multi-volume layouts.
 type Backend = pdm.Backend
-
-// BlockXfer is one block transfer within a Backend batch: physical block
-// Block of disk Disk moves to or from the Data slice.
-type BlockXfer = pdm.BlockXfer
 
 // MemBackend returns the RAM storage backend — the default for
 // NewPermuter, and the fastest way to simulate.
@@ -43,17 +43,11 @@ func FileBackend(dir string) Backend { return pdm.FileBackend(dir) }
 // independently seeking spindles.
 func ShardedBackend(dirs ...string) Backend { return pdm.ShardedFileBackend(dirs...) }
 
-// RangeXfer is one multi-block transfer within a RangeBackend batch:
-// len(Data)/blockSize consecutive physical blocks of disk Disk starting
-// at Block move to or from the Data slice in one operation.
+// RangeXfer is one block run within a Backend batch: len(Data)/blockSize
+// consecutive physical blocks of disk Disk starting at Block move to or
+// from the Data slice in one operation. A single-block transfer is a run
+// of length 1.
 type RangeXfer = pdm.RangeXfer
-
-// RangeBackend is the optional coalesced-transfer extension of Backend.
-// When a backend implements it, the disk system merges runs of
-// consecutive physical blocks within a grouped parallel I/O into single
-// range transfers — one pread/pwrite per run on file-backed storage —
-// without changing the model's operation counts.
-type RangeBackend = pdm.RangeBackend
 
 // ErrInjectedFault is the sentinel wrapped by every failure the chaos
 // wrappers in repro/backendtest/chaos inject. Errors.Is-match it to tell

@@ -12,10 +12,11 @@
 //
 // The harness exercises exactly the guarantees the disk system above the
 // backend relies on: geometry sizing at Open, full-block read/write round
-// trips, tolerance of concurrent ReadBlocks/WriteBlocks calls from
-// distinct goroutines with per-disk serialization owned by the backend,
-// independence from the caller's transfer buffers after a call returns,
-// and Sync/Close semantics. The library's own MemBackend, FileBackend,
+// trips, the run contract of ReadBlockRanges/WriteBlockRanges (multi-block
+// runs, several runs per disk in one call, rejection of malformed runs),
+// tolerance of concurrent calls from distinct goroutines with per-disk
+// serialization owned by the backend, independence from the caller's
+// transfer buffers after a call returns, and Sync/Close semantics. The library's own MemBackend, FileBackend,
 // and ShardedBackend pass this harness in CI (see the package tests).
 package backendtest
 
@@ -77,14 +78,14 @@ func open(t *testing.T, factory Factory) bmmc.Backend {
 func writeAll(t *testing.T, be bmmc.Backend, gen int) {
 	t.Helper()
 	for block := 0; block < numBlocks; block++ {
-		xfers := make([]bmmc.BlockXfer, numDisks)
+		xfers := make([]bmmc.RangeXfer, numDisks)
 		for disk := 0; disk < numDisks; disk++ {
 			data := make([]bmmc.Record, blockSize)
 			fill(data, gen, disk, block)
-			xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: data}
+			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: data}
 		}
-		if err := be.WriteBlocks(xfers); err != nil {
-			t.Fatalf("WriteBlocks(stripe %d): %v", block, err)
+		if err := be.WriteBlockRanges(xfers); err != nil {
+			t.Fatalf("WriteBlockRanges(stripe %d): %v", block, err)
 		}
 	}
 }
@@ -94,12 +95,12 @@ func writeAll(t *testing.T, be bmmc.Backend, gen int) {
 func checkAll(t *testing.T, be bmmc.Backend, gen int) {
 	t.Helper()
 	for block := 0; block < numBlocks; block++ {
-		xfers := make([]bmmc.BlockXfer, numDisks)
+		xfers := make([]bmmc.RangeXfer, numDisks)
 		for disk := 0; disk < numDisks; disk++ {
-			xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
+			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
 		}
-		if err := be.ReadBlocks(xfers); err != nil {
-			t.Fatalf("ReadBlocks(stripe %d): %v", block, err)
+		if err := be.ReadBlockRanges(xfers); err != nil {
+			t.Fatalf("ReadBlockRanges(stripe %d): %v", block, err)
 		}
 		for disk := 0; disk < numDisks; disk++ {
 			for i, got := range xfers[disk].Data {
@@ -124,16 +125,20 @@ func Run(t *testing.T, factory Factory) {
 		checkAll(t, be, 2)
 	})
 
+	t.Run("RangeContract", func(t *testing.T) {
+		checkRanges(t, open(t, factory))
+	})
+
 	t.Run("BufferAliasing", func(t *testing.T) {
-		// WriteBlocks must capture the transfer's content before returning:
+		// WriteBlockRanges must capture the transfer's content before returning:
 		// the disk system reuses one scratch slice across batches, so a
 		// backend holding a reference to Data corrupts the previous write.
 		be := open(t, factory)
 		buf := make([]bmmc.Record, blockSize)
 		for block := 0; block < numBlocks; block++ {
 			fill(buf, 3, 0, block)
-			if err := be.WriteBlocks([]bmmc.BlockXfer{{Disk: 0, Block: block, Data: buf}}); err != nil {
-				t.Fatalf("WriteBlocks(block %d): %v", block, err)
+			if err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: buf}}); err != nil {
+				t.Fatalf("WriteBlockRanges(block %d): %v", block, err)
 			}
 			// Scribble over the shared buffer before the next use.
 			for i := range buf {
@@ -142,8 +147,8 @@ func Run(t *testing.T, factory Factory) {
 		}
 		for block := 0; block < numBlocks; block++ {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
-				t.Fatalf("ReadBlocks(block %d): %v", block, err)
+			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
+				t.Fatalf("ReadBlockRanges(block %d): %v", block, err)
 			}
 			for i, g := range got {
 				if want := rec(3, 0, block, i); g != want {
@@ -154,8 +159,8 @@ func Run(t *testing.T, factory Factory) {
 	})
 
 	t.Run("ConcurrentReadWrite", func(t *testing.T) {
-		// The pipelined pass runner overlaps a prefetch ReadBlocks with an
-		// in-flight WriteBlocks on distinct blocks of the same disks. Both
+		// The pipelined pass runner overlaps a prefetch read with an
+		// in-flight write on distinct blocks of the same disks. Both
 		// must proceed without corruption (run this harness under -race).
 		be := open(t, factory)
 		writeAll(t, be, 4)
@@ -167,11 +172,11 @@ func Run(t *testing.T, factory Factory) {
 			defer wg.Done()
 			for round := 0; round < 8; round++ {
 				for block := 0; block < half; block++ {
-					xfers := make([]bmmc.BlockXfer, numDisks)
+					xfers := make([]bmmc.RangeXfer, numDisks)
 					for disk := 0; disk < numDisks; disk++ {
-						xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
+						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
 					}
-					if err := be.ReadBlocks(xfers); err != nil {
+					if err := be.ReadBlockRanges(xfers); err != nil {
 						errs <- fmt.Errorf("concurrent read: %w", err)
 						return
 					}
@@ -190,13 +195,13 @@ func Run(t *testing.T, factory Factory) {
 			defer wg.Done()
 			for round := 0; round < 8; round++ {
 				for block := half; block < numBlocks; block++ {
-					xfers := make([]bmmc.BlockXfer, numDisks)
+					xfers := make([]bmmc.RangeXfer, numDisks)
 					for disk := 0; disk < numDisks; disk++ {
 						data := make([]bmmc.Record, blockSize)
 						fill(data, 5+round, disk, block)
-						xfers[disk] = bmmc.BlockXfer{Disk: disk, Block: block, Data: data}
+						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: data}
 					}
-					if err := be.WriteBlocks(xfers); err != nil {
+					if err := be.WriteBlockRanges(xfers); err != nil {
 						errs <- fmt.Errorf("concurrent write: %w", err)
 						return
 					}
@@ -213,7 +218,7 @@ func Run(t *testing.T, factory Factory) {
 		for block := half; block < numBlocks; block++ {
 			got := make([]bmmc.Record, blockSize)
 			for disk := 0; disk < numDisks; disk++ {
-				if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+				if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
 					t.Fatal(err)
 				}
 				for i, g := range got {
@@ -240,11 +245,11 @@ func Run(t *testing.T, factory Factory) {
 				got := make([]bmmc.Record, blockSize)
 				for round := 0; round < 16; round++ {
 					fill(data, 100+round, 1, block)
-					if err := be.WriteBlocks([]bmmc.BlockXfer{{Disk: 1, Block: block, Data: data}}); err != nil {
+					if err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 1, Block: block, Data: data}}); err != nil {
 						errs <- fmt.Errorf("write disk 1 block %d: %w", block, err)
 						return
 					}
-					if err := be.ReadBlocks([]bmmc.BlockXfer{{Disk: 1, Block: block, Data: got}}); err != nil {
+					if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 1, Block: block, Data: got}}); err != nil {
 						errs <- fmt.Errorf("read disk 1 block %d: %w", block, err)
 						return
 					}
@@ -281,4 +286,86 @@ func Run(t *testing.T, factory Factory) {
 			t.Fatalf("Close: %v", err)
 		}
 	})
+}
+
+// checkRanges exercises the run contract on an opened backend: multi-block
+// runs round-trip, one call may carry several runs on the same disk, and a
+// run that is not a whole number of blocks, or that reaches past the end
+// of its disk, is rejected.
+func checkRanges(t *testing.T, be bmmc.Backend) {
+	t.Helper()
+	writeAll(t, be, 20)
+
+	// One call, two disjoint runs on disk 2 (blocks 0..2 and 5..7) plus a
+	// single-block run on disk 0.
+	run := func(gen, disk, block0, blocks int) bmmc.RangeXfer {
+		data := make([]bmmc.Record, blocks*blockSize)
+		for b := 0; b < blocks; b++ {
+			fill(data[b*blockSize:(b+1)*blockSize], gen, disk, block0+b)
+		}
+		return bmmc.RangeXfer{Disk: disk, Block: block0, Data: data}
+	}
+	writes := []bmmc.RangeXfer{run(21, 2, 0, 3), run(21, 0, 4, 1), run(21, 2, 5, 3)}
+	if err := be.WriteBlockRanges(writes); err != nil {
+		t.Fatalf("WriteBlockRanges(several runs per disk): %v", err)
+	}
+	gen := func(disk, block int) int {
+		switch {
+		case disk == 2 && (block <= 2 || block >= 5), disk == 0 && block == 4:
+			return 21
+		}
+		return 20
+	}
+
+	// Read the whole of disks 2 and 0 back as one full-disk run each, and
+	// disk 2 once more as two runs in the same call.
+	whole := []bmmc.RangeXfer{
+		{Disk: 2, Block: 0, Data: make([]bmmc.Record, numBlocks*blockSize)},
+		{Disk: 0, Block: 0, Data: make([]bmmc.Record, numBlocks*blockSize)},
+		{Disk: 2, Block: 1, Data: make([]bmmc.Record, 2*blockSize)},
+		{Disk: 2, Block: 4, Data: make([]bmmc.Record, 3*blockSize)},
+	}
+	if err := be.ReadBlockRanges(whole); err != nil {
+		t.Fatalf("ReadBlockRanges(several runs per disk): %v", err)
+	}
+	for _, x := range whole {
+		for i, got := range x.Data {
+			block := x.Block + i/blockSize
+			if want := rec(gen(x.Disk, block), x.Disk, block, i%blockSize); got != want {
+				t.Fatalf("run [disk %d, block %d, %d records]: block %d record %d: got %+v, want %+v",
+					x.Disk, x.Block, len(x.Data), block, i%blockSize, got, want)
+			}
+		}
+	}
+	checkUntouched := func(disk int) {
+		t.Helper()
+		for block := 0; block < numBlocks; block++ {
+			got := make([]bmmc.Record, blockSize)
+			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range got {
+				if want := rec(gen(disk, block), disk, block, i); g != want {
+					t.Fatalf("disk %d block %d record %d after rejected runs: got %+v, want %+v", disk, block, i, g, want)
+				}
+			}
+		}
+	}
+	bad := []struct {
+		name string
+		x    bmmc.RangeXfer
+	}{
+		{"partial block", bmmc.RangeXfer{Disk: 1, Block: 0, Data: make([]bmmc.Record, blockSize+1)}},
+		{"past the end", bmmc.RangeXfer{Disk: 1, Block: numBlocks - 1, Data: make([]bmmc.Record, 2*blockSize)}},
+		{"negative block", bmmc.RangeXfer{Disk: 1, Block: -1, Data: make([]bmmc.Record, blockSize)}},
+	}
+	for _, c := range bad {
+		if err := be.ReadBlockRanges([]bmmc.RangeXfer{c.x}); err == nil {
+			t.Errorf("ReadBlockRanges accepted a run that is %s", c.name)
+		}
+		if err := be.WriteBlockRanges([]bmmc.RangeXfer{c.x}); err == nil {
+			t.Errorf("WriteBlockRanges accepted a run that is %s", c.name)
+		}
+	}
+	checkUntouched(1)
 }

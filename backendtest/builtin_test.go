@@ -31,8 +31,7 @@ func TestShardedBackend(t *testing.T) {
 
 // The built-ins certify against the chaos harness too, so the adversarial
 // wrappers offered to backend authors are known to compose with every
-// shipped backend — range-capable (file, sharded) and not (mem relies on
-// the wrappers' per-block range emulation at this geometry).
+// shipped backend.
 
 func TestChaosMemBackend(t *testing.T) {
 	backendtest.RunChaos(t, func(t *testing.T) bmmc.Backend {

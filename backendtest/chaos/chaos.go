@@ -60,8 +60,8 @@ type (
 	FlakyBackend = pdm.FlakyBackend
 	// LatencyBackend sleeps a deterministic per-operation service time.
 	LatencyBackend = pdm.LatencyBackend
-	// TornRangeBackend fails multi-block range transfers midway.
-	TornRangeBackend = pdm.TornRangeBackend
+	// TornBackend fails multi-block range transfers midway.
+	TornBackend = pdm.TornBackend
 )
 
 // Fault modes for FlakyOptions.Mode and TornOptions.Mode.
@@ -107,8 +107,8 @@ func Pareto(scale time.Duration, alpha float64, cap time.Duration) LatencyDist {
 // TornRange wraps inner so multi-block range transfers tear: a seeded
 // prefix of the range's blocks is moved, then the operation fails.
 // Single-block operations stay atomic, as on a real block device.
-func TornRange(inner bmmc.Backend, o TornOptions) *TornRangeBackend {
-	return pdm.NewTornRangeBackend(inner, o)
+func TornRange(inner bmmc.Backend, o TornOptions) *TornBackend {
+	return pdm.NewTornBackend(inner, o)
 }
 
 // Faulty wraps inner so the operation with 0-based ordinal failAfter and

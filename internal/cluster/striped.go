@@ -274,7 +274,7 @@ func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, 
 	scfg := p.scfg
 	c.mu.Unlock()
 	per := int64(scfg.N) * bmmc.RecordBytes
-	buf := bytes.NewBuffer(make([]byte, 0, per*int64(len(stripes))))
+	buf := newGatherBuffer(per, len(stripes))
 	for _, s := range stripes {
 		wc, err := c.clientFor(s.worker)
 		if err != nil {
@@ -302,6 +302,15 @@ func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, 
 	sj.report = &service.RunReport{Passes: 1}
 	sj.mu.Unlock()
 	return nil
+}
+
+// newGatherBuffer returns the exchange's gather buffer for k stripes of
+// stripeBytes each. DownloadDataset fills it through io.Copy, and
+// bytes.Buffer.ReadFrom wants bytes.MinRead bytes of free space before
+// every read: the slack keeps the nearly full buffer from being
+// reallocated at twice its size.
+func newGatherBuffer(stripeBytes int64, k int) *bytes.Buffer {
+	return bytes.NewBuffer(make([]byte, 0, stripeBytes*int64(k)+bytes.MinRead))
 }
 
 // createDataset places a new dataset: one worker for ordinary datasets,

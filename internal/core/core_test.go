@@ -113,29 +113,28 @@ func TestDetectTargetsCore(t *testing.T) {
 	}
 }
 
-// TestPermuterFaultSurface: a permuter built over a failing disk surfaces
-// the injected error through Permute instead of corrupting data.
+// TestPermuterFaultSurface: a permuter built over a failing backend
+// surfaces the injected error through Permute instead of corrupting data.
 func TestPermuterFaultSurface(t *testing.T) {
-	sys, err := pdm.NewSystem(coreConfig, pdm.FaultyFactory(pdm.MemDiskFactory, 0, coreConfig.BlocksPerDisk()*2+4, nil))
+	fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: 5})
+	sys, err := pdm.NewSystem(coreConfig, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build the permuter by hand around the faulty system: LoadRecords
-	// bypasses counting but still writes blocks, so give it headroom and
-	// then trip the fault during the permutation.
+	// Build the permuter by hand around the faulty system. The record load
+	// runs disarmed, so the fault trips a few operations into the
+	// permutation.
 	p := &Permuter{eng: NewEngine(), ds: &Dataset{sys: sys}}
 	defer p.Close()
 	recs := make([]pdm.Record, coreConfig.N)
 	for i := range recs {
 		recs[i] = pdm.MakeRecord(uint64(i))
 	}
+	fb.Disarm()
 	if err := p.LoadRecords(recs); err != nil {
-		// Load itself tripped the fault; equally acceptable.
-		if !errors.Is(err, pdm.ErrInjectedFault) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		return
+		t.Fatal(err)
 	}
+	fb.Arm()
 	_, err = p.Permute(perm.BitReversal(coreConfig.LgN()))
 	if !errors.Is(err, pdm.ErrInjectedFault) {
 		t.Fatalf("fault not surfaced: %v", err)

@@ -103,7 +103,7 @@ func TestChaosEngineFaultSurfacesEveryPath(t *testing.T) {
 		for _, path := range chaosPathsFor(chaosCfg) {
 			t.Run(backend.name+"/"+path.name, func(t *testing.T) {
 				fb := pdm.NewFlakyBackend(backend.make(t), pdm.FlakyOptions{FailAfterN: 3})
-				sys, err := pdm.NewSystemBackend(chaosCfg, fb)
+				sys, err := pdm.NewSystem(chaosCfg, fb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -159,7 +159,7 @@ func TestChaosEngineKernelGroupingMatrix(t *testing.T) {
 				forceRecordKernel, forceUngroupedIO = recordKernel, ungrouped
 				for _, path := range paths[:4] { // MRC, MLD, invMLD, BMMC use the runner's kernels
 					fb := pdm.NewFlakyBackend(pdm.MemBackend(), pdm.FlakyOptions{FailAfterN: 5})
-					sys, err := pdm.NewSystemBackend(chaosCfg, fb)
+					sys, err := pdm.NewSystem(chaosCfg, fb)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -206,9 +206,9 @@ func TestChaosEngineZeroFaultByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				cleanTrace := (&pdm.Trace{}).Attach(clean)
-				chaotic, err := pdm.NewSystemBackend(chaosCfg,
+				chaotic, err := pdm.NewSystem(chaosCfg,
 					pdm.NewFlakyBackend(
-						pdm.NewTornRangeBackend(
+						pdm.NewTornBackend(
 							pdm.NewLatencyBackend(pdm.MemBackend(), pdm.LatencyOptions{Seed: 17}),
 							pdm.TornOptions{Seed: 17}),
 						pdm.FlakyOptions{Seed: 17}))
@@ -261,8 +261,8 @@ func TestChaosEngineTornRangeRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		torn, err := pdm.NewSystemBackend(chaosCfg,
-			pdm.NewTornRangeBackend(pdm.MemBackend(), pdm.TornOptions{Seed: 5, Rate: 1}))
+		torn, err := pdm.NewSystem(chaosCfg,
+			pdm.NewTornBackend(pdm.MemBackend(), pdm.TornOptions{Seed: 5, Rate: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestChaosEngineCancelOnSlowDisk(t *testing.T) {
 		PerBlock:    200 * time.Microsecond,
 		DiskFactors: []float64{10, 1, 1, 1},
 	})
-	sys, err := pdm.NewSystemBackend(chaosCfg, lb)
+	sys, err := pdm.NewSystem(chaosCfg, lb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestChaosLatencySkewPipelineWins(t *testing.T) {
 			PerBlock:    100 * time.Microsecond,
 			DiskFactors: []float64{10, 1, 1, 1},
 		})
-		sys, err := pdm.NewSystemBackend(cfg, lb)
+		sys, err := pdm.NewSystem(cfg, lb)
 		if err != nil {
 			t.Fatal(err)
 		}

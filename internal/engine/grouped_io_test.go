@@ -20,11 +20,11 @@ import (
 // final record layout, the model stats, and the full parallel-I/O trace.
 func runConformance(t *testing.T, cfg pdm.Config, backend string, fn func(*pdm.System) error) ([]pdm.Record, pdm.Stats, []pdm.TraceEntry) {
 	t.Helper()
-	factory := pdm.MemDiskFactory
+	be := pdm.MemBackend()
 	if backend == "file" {
-		factory = pdm.FileDiskFactory(t.TempDir())
+		be = pdm.FileBackend(t.TempDir())
 	}
-	sys, err := pdm.NewSystem(cfg, factory)
+	sys, err := pdm.NewSystem(cfg, be)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -547,7 +547,7 @@ func PipelineSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, err
 		// comparison from being dominated by cold caches and scheduler
 		// noise.
 		run := func(timed bool) error {
-			sys, err := pdm.NewSystem(cfg, pdm.FileDiskFactory(dir))
+			sys, err := pdm.NewSystem(cfg, pdm.FileBackend(dir))
 			if err != nil {
 				return err
 			}
@@ -806,7 +806,7 @@ func BackendSpeed(ctx context.Context, cfg pdm.Config, seed int64) (*Table, erro
 			}
 		}
 		run := func(timed bool) error {
-			sys, err := pdm.NewSystemBackend(cfg, mode.backend(dirs))
+			sys, err := pdm.NewSystem(cfg, mode.backend(dirs))
 			if err != nil {
 				return err
 			}

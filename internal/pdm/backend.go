@@ -5,69 +5,46 @@ import (
 	"sync"
 )
 
-// BlockXfer names one block transfer within a batch handed to a Backend:
-// the physical block Block of disk Disk moves to or from Data (exactly one
-// block, len(Data) == blockSize). Block numbers are physical — the System
-// resolves portion-relative positions before calling the backend.
-type BlockXfer struct {
-	Disk  int
-	Block int
-	Data  []Record
-}
-
-// Backend abstracts the storage a System's D disks live on, at
-// parallel-block granularity: each ReadBlocks/WriteBlocks call carries the
-// per-disk transfers of one parallel I/O, so a backend sees exactly the
-// operations the model counts and may service the transfers of one call in
-// any order or in parallel (they touch distinct disks by construction).
-//
-// Implementations must tolerate concurrent ReadBlocks/WriteBlocks calls
-// from distinct goroutines: the pipelined pass runner overlaps a prefetch
-// read with an in-flight write. Concurrent calls never touch the same
-// (disk, block) pair in conflicting ways during a correctly synchronized
-// pass, but they may touch the same disk, so per-disk serialization is the
-// backend's responsibility.
-//
-// The System layered on top performs all validation (one block per disk
-// per operation, bounds) and all cost accounting; a Backend only moves
-// bytes.
-type Backend interface {
-	// Open sizes the backend before any transfer: numDisks disks, each
-	// holding numBlocks blocks of blockSize records. Called exactly once.
-	Open(numDisks, numBlocks, blockSize int) error
-	// ReadBlocks fills each transfer's Data from its (Disk, Block).
-	ReadBlocks(xfers []BlockXfer) error
-	// WriteBlocks stores each transfer's Data at its (Disk, Block).
-	WriteBlocks(xfers []BlockXfer) error
-	// Sync flushes buffered writes to stable storage.
-	Sync() error
-	// Close releases the backend's resources. No transfers follow.
-	Close() error
-}
-
 // RangeXfer names one contiguous run of physical blocks moving to or from a
-// single disk: blocks [Block, Block+len(Data)/B) of disk Disk. The System's
-// grouped parallel-I/O path coalesces a group's per-disk blocks into such
-// runs so file-backed disks service each run with a single syscall.
+// single disk: blocks [Block, Block+len(Data)/B) of disk Disk. Block
+// numbers are physical — the System resolves portion-relative positions
+// before calling the backend. A single-block transfer is a run of length 1.
 type RangeXfer struct {
 	Disk  int
 	Block int
 	Data  []Record // a whole number of blocks, len(Data) % blockSize == 0
 }
 
-// RangeBackend is an optional Backend extension: backends that can service
-// runs of consecutive blocks move each transfer's run in one operation.
-// Unlike ReadBlocks/WriteBlocks batches, one call may carry several
-// transfers for the same disk (distinct runs); per-disk serialization
-// remains the backend's responsibility. Implementations must move exactly
-// the records the equivalent per-block sequence would — range transfers
-// carry no accounting of their own, because the System counts and traces
-// the model's parallel I/Os before regrouping them into runs.
-type RangeBackend interface {
+// Backend abstracts the storage a System's D disks live on. Its one
+// transfer primitive is the block run: each ReadBlockRanges/WriteBlockRanges
+// call carries a batch of runs, and the per-operation path hands it the
+// one-block runs of a single parallel I/O (one per disk), while the grouped
+// path hands it the coalesced runs of a whole group — possibly several per
+// disk. A backend services the runs of one call in any order or in
+// parallel.
+//
+// Implementations must tolerate concurrent calls from distinct goroutines:
+// the pipelined pass runner overlaps a prefetch read with an in-flight
+// write. Concurrent calls never touch the same (disk, block) pair in
+// conflicting ways during a correctly synchronized pass, but they may touch
+// the same disk, so per-disk serialization is the backend's responsibility.
+// A backend must not retain a transfer's Data after the call returns.
+//
+// The System layered on top performs all model validation (one block per
+// disk per operation) and all cost accounting; a Backend only moves bytes,
+// exactly the records the equivalent per-block sequence would.
+type Backend interface {
+	// Open sizes the backend before any transfer: numDisks disks, each
+	// holding numBlocks blocks of blockSize records. Called exactly once.
+	Open(numDisks, numBlocks, blockSize int) error
 	// ReadBlockRanges fills each transfer's Data from its run of blocks.
 	ReadBlockRanges(xfers []RangeXfer) error
 	// WriteBlockRanges stores each transfer's Data at its run of blocks.
 	WriteBlockRanges(xfers []RangeXfer) error
+	// Sync flushes buffered writes to stable storage.
+	Sync() error
+	// Close releases the backend's resources. No transfers follow.
+	Close() error
 }
 
 // concurrentSetter is implemented by backends that can toggle concurrent
@@ -89,175 +66,57 @@ type BlockViewer interface {
 	BlockView(disk, block int) ([]Record, bool)
 }
 
-// blockViewer is the per-disk analog BlockViewer delegates to (MemDisk
-// implements it).
-type blockViewer interface {
-	BlockView(block int) ([]Record, bool)
-}
-
-// syncer is the optional flush hook a Disk may implement (FileDisk does);
-// diskBackend.Sync calls it on every disk that has one.
-type syncer interface {
-	Sync() error
-}
-
-// diskBackend adapts the per-disk Disk/DiskFactory abstraction to the
-// batch-level Backend interface. It owns the per-disk serialization (the
-// model has one I/O channel per disk) and the optional concurrent dispatch
-// of a batch's transfers across goroutines.
-type diskBackend struct {
-	factory    DiskFactory
-	disks      []Disk
+// diskArray is the bookkeeping the built-in backends share: the geometry
+// fixed at Open, one mutex per disk (the model has one I/O channel per
+// disk), and the optional concurrent dispatch of a batch's runs across
+// goroutines.
+type diskArray struct {
 	mu         []sync.Mutex
+	numBlocks  int
 	blockSize  int
 	concurrent bool
 }
 
-// NewDiskBackend returns a Backend whose disks are created one at a time by
-// factory — the bridge that lets every per-disk Disk implementation
-// (MemDisk, FileDisk, FaultyDisk wrappers, ...) serve as a storage backend.
-func NewDiskBackend(factory DiskFactory) Backend {
-	return &diskBackend{factory: factory}
-}
-
-// MemBackend returns the RAM storage backend: one in-memory block array per
-// disk. It is the default backend of a Permuter.
-func MemBackend() Backend { return NewDiskBackend(MemDiskFactory) }
-
-// FileBackend returns the single-directory file storage backend: one file
-// per disk inside dir, named disk0000.dat, disk0001.dat, ....
-func FileBackend(dir string) Backend { return NewDiskBackend(FileDiskFactory(dir)) }
-
-// ShardedFileBackend returns a multi-volume file storage backend: disk i's
-// file lives in dirs[i mod len(dirs)], so the D simulated disks spread
-// round-robin across the given directories — mount each on a separate
-// physical volume and the model's "D independent disks" become D
-// independently seeking spindles.
-func ShardedFileBackend(dirs ...string) Backend {
-	return NewDiskBackend(ShardedFileFactory(dirs...))
-}
-
-// ShardedFileFactory returns a DiskFactory placing disk i's file in
-// dirs[i mod len(dirs)]. File names stay globally unique (disk%04d.dat with
-// the global disk number), so distinct dirs may share a filesystem.
-func ShardedFileFactory(dirs ...string) DiskFactory {
-	return func(disk, numBlocks, blockSize int) (Disk, error) {
-		if len(dirs) == 0 {
-			return nil, fmt.Errorf("pdm: sharded file backend needs at least one directory")
-		}
-		return FileDiskFactory(dirs[disk%len(dirs)])(disk, numBlocks, blockSize)
-	}
-}
-
-// Open implements Backend.
-func (b *diskBackend) Open(numDisks, numBlocks, blockSize int) error {
-	if b.disks != nil {
+// open fixes the geometry, rejecting a second Open.
+func (a *diskArray) open(numDisks, numBlocks, blockSize int) error {
+	if a.mu != nil {
 		return fmt.Errorf("pdm: backend opened twice")
 	}
-	b.disks = make([]Disk, numDisks)
-	b.mu = make([]sync.Mutex, numDisks)
-	b.blockSize = blockSize
-	for i := 0; i < numDisks; i++ {
-		d, err := b.factory(i, numBlocks, blockSize)
-		if err != nil {
-			b.Close()
-			return fmt.Errorf("pdm: disk %d: %w", i, err)
-		}
-		if d.NumBlocks() < numBlocks {
-			d.Close()
-			b.Close()
-			return fmt.Errorf("pdm: disk %d too small: %d blocks, need %d", i, d.NumBlocks(), numBlocks)
-		}
-		b.disks[i] = d
-	}
+	a.mu = make([]sync.Mutex, numDisks)
+	a.numBlocks, a.blockSize = numBlocks, blockSize
 	return nil
 }
 
 // SetConcurrent toggles per-disk goroutine dispatch within one batch.
-func (b *diskBackend) SetConcurrent(on bool) { b.concurrent = on }
+func (a *diskArray) SetConcurrent(on bool) { a.concurrent = on }
 
-// BlockView implements BlockViewer by delegating to the disk when its
-// implementation offers a copy-free view (MemDisk does; file-backed disks
-// do not).
-func (b *diskBackend) BlockView(disk, block int) ([]Record, bool) {
-	if disk < 0 || disk >= len(b.disks) {
-		return nil, false
+// check rejects a run on a nonexistent disk, one that is not a positive
+// whole number of blocks, or one reaching past the end of the disk.
+func (a *diskArray) check(x RangeXfer) error {
+	if x.Disk < 0 || x.Disk >= len(a.mu) {
+		return fmt.Errorf("pdm: disk %d out of range [0,%d)", x.Disk, len(a.mu))
 	}
-	v, ok := b.disks[disk].(blockViewer)
-	if !ok {
-		return nil, false
+	n := len(x.Data)
+	if n <= 0 || n%a.blockSize != 0 {
+		return fmt.Errorf("pdm: range of %d records is not a positive multiple of block size %d", n, a.blockSize)
 	}
-	return v.BlockView(block)
+	if end := x.Block + n/a.blockSize; x.Block < 0 || end > a.numBlocks {
+		return fmt.Errorf("pdm: block range [%d,%d) out of range [0,%d)", x.Block, end, a.numBlocks)
+	}
+	return nil
 }
 
-// ReadBlocks implements Backend.
-func (b *diskBackend) ReadBlocks(xfers []BlockXfer) error {
-	return dispatch(b, xfers, func(x BlockXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		return b.disks[x.Disk].ReadBlock(x.Block, x.Data)
-	})
-}
-
-// WriteBlocks implements Backend.
-func (b *diskBackend) WriteBlocks(xfers []BlockXfer) error {
-	return dispatch(b, xfers, func(x BlockXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		return b.disks[x.Disk].WriteBlock(x.Block, x.Data)
-	})
-}
-
-// ReadBlockRanges implements RangeBackend. Disks that support BlockRangeIO
-// (MemDisk, FileDisk) service a run in one operation; wrapped or custom
-// disks fall back to per-block calls, preserving their semantics — a fault
-// injector still sees every block.
-func (b *diskBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	return dispatch(b, xfers, func(x RangeXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		d := b.disks[x.Disk]
-		if r, ok := d.(BlockRangeIO); ok {
-			return r.ReadBlockRange(x.Block, x.Data)
-		}
-		for i := 0; i*b.blockSize < len(x.Data); i++ {
-			if err := d.ReadBlock(x.Block+i, x.Data[i*b.blockSize:(i+1)*b.blockSize]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// WriteBlockRanges implements RangeBackend (see ReadBlockRanges).
-func (b *diskBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	return dispatch(b, xfers, func(x RangeXfer) error {
-		b.mu[x.Disk].Lock()
-		defer b.mu[x.Disk].Unlock()
-		d := b.disks[x.Disk]
-		if r, ok := d.(BlockRangeIO); ok {
-			return r.WriteBlockRange(x.Block, x.Data)
-		}
-		for i := 0; i*b.blockSize < len(x.Data); i++ {
-			if err := d.WriteBlock(x.Block+i, x.Data[i*b.blockSize:(i+1)*b.blockSize]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// dispatch runs one transfer per element, sequentially or on one goroutine
-// per transfer, and returns the first error. Block batches touch distinct
-// disks (System.validate enforces it) so their transfers commute; range
-// batches may repeat a disk, where the per-disk mutex inside op serializes.
-func dispatch[T any](b *diskBackend, xfers []T, op func(T) error) error {
-	if b.disks == nil {
+// each checks and runs one transfer per element under its disk's mutex,
+// sequentially or on one goroutine per transfer, and returns the first
+// error. A batch may repeat a disk (distinct runs); the mutex serializes
+// those.
+func (a *diskArray) each(xfers []RangeXfer, op func(RangeXfer) error) error {
+	if a.mu == nil {
 		return fmt.Errorf("pdm: backend not opened")
 	}
-	if !b.concurrent || len(xfers) == 1 {
+	if !a.concurrent || len(xfers) == 1 {
 		for _, x := range xfers {
-			if err := op(x); err != nil {
+			if err := a.run(x, op); err != nil {
 				return err
 			}
 		}
@@ -267,9 +126,9 @@ func dispatch[T any](b *diskBackend, xfers []T, op func(T) error) error {
 	var wg sync.WaitGroup
 	for i, x := range xfers {
 		wg.Add(1)
-		go func(i int, x T) {
+		go func(i int, x RangeXfer) {
 			defer wg.Done()
-			errs[i] = op(x)
+			errs[i] = a.run(x, op)
 		}(i, x)
 	}
 	wg.Wait()
@@ -281,31 +140,65 @@ func dispatch[T any](b *diskBackend, xfers []T, op func(T) error) error {
 	return nil
 }
 
-// Sync implements Backend, flushing every disk that supports it.
-func (b *diskBackend) Sync() error {
-	var firstErr error
-	for _, d := range b.disks {
-		s, ok := d.(syncer)
-		if !ok {
-			continue
-		}
-		if err := s.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+// run checks one transfer and performs it under its disk's mutex.
+func (a *diskArray) run(x RangeXfer, op func(RangeXfer) error) error {
+	if err := a.check(x); err != nil {
+		return err
 	}
-	return firstErr
+	a.mu[x.Disk].Lock()
+	defer a.mu[x.Disk].Unlock()
+	return op(x)
 }
 
-// Close implements Backend.
-func (b *diskBackend) Close() error {
-	var firstErr error
-	for _, d := range b.disks {
-		if d == nil {
-			continue
-		}
-		if err := d.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+// memBackend is the RAM storage backend: one in-memory block array per
+// disk, serving every run with one copy.
+type memBackend struct {
+	diskArray
+	data [][]Record
 }
+
+// MemBackend returns the RAM storage backend: one in-memory block array per
+// disk. It is the default backend of a Permuter.
+func MemBackend() Backend { return &memBackend{} }
+
+// Open implements Backend.
+func (b *memBackend) Open(numDisks, numBlocks, blockSize int) error {
+	if err := b.open(numDisks, numBlocks, blockSize); err != nil {
+		return err
+	}
+	b.data = make([][]Record, numDisks)
+	for i := range b.data {
+		b.data[i] = make([]Record, numBlocks*blockSize)
+	}
+	return nil
+}
+
+// ReadBlockRanges implements Backend.
+func (b *memBackend) ReadBlockRanges(xfers []RangeXfer) error {
+	return b.each(xfers, func(x RangeXfer) error {
+		copy(x.Data, b.data[x.Disk][x.Block*b.blockSize:])
+		return nil
+	})
+}
+
+// WriteBlockRanges implements Backend.
+func (b *memBackend) WriteBlockRanges(xfers []RangeXfer) error {
+	return b.each(xfers, func(x RangeXfer) error {
+		copy(b.data[x.Disk][x.Block*b.blockSize:], x.Data)
+		return nil
+	})
+}
+
+// BlockView implements BlockViewer: the view is the stored block itself.
+func (b *memBackend) BlockView(disk, block int) ([]Record, bool) {
+	if disk < 0 || disk >= len(b.data) || block < 0 || block >= b.numBlocks {
+		return nil, false
+	}
+	return b.data[disk][block*b.blockSize : (block+1)*b.blockSize], true
+}
+
+// Sync implements Backend; RAM holds nothing to flush.
+func (b *memBackend) Sync() error { return nil }
+
+// Close implements Backend; RAM holds no external resources.
+func (b *memBackend) Close() error { return nil }

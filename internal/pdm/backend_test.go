@@ -11,7 +11,7 @@ import (
 func TestShardedFileBackendLayout(t *testing.T) {
 	cfg := Config{N: 1 << 10, D: 4, B: 4, M: 1 << 6}
 	dirs := []string{t.TempDir(), t.TempDir()}
-	sys, err := NewSystemBackend(cfg, ShardedFileBackend(dirs...))
+	sys, err := NewSystem(cfg, ShardedFileBackend(dirs...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestShardedFileBackendLayout(t *testing.T) {
 // TestShardedFileBackendNoDirs rejects an empty directory list at Open.
 func TestShardedFileBackendNoDirs(t *testing.T) {
 	cfg := Config{N: 1 << 10, D: 4, B: 4, M: 1 << 6}
-	if _, err := NewSystemBackend(cfg, ShardedFileBackend()); err == nil {
+	if _, err := NewSystem(cfg, ShardedFileBackend()); err == nil {
 		t.Fatal("sharded backend with no directories unexpectedly opened")
 	}
 }
@@ -79,7 +79,7 @@ func TestBackendOpenOnce(t *testing.T) {
 func TestBackendUnopenedTransfer(t *testing.T) {
 	be := MemBackend()
 	buf := make([]Record, 4)
-	if err := be.ReadBlocks([]BlockXfer{{Disk: 0, Block: 0, Data: buf}}); err == nil {
+	if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err == nil {
 		t.Fatal("ReadBlocks before Open unexpectedly succeeded")
 	}
 }

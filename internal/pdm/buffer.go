@@ -14,7 +14,7 @@ package pdm
 type Buffer struct {
 	b    int // records per frame (block size B)
 	recs []Record
-	xbuf []BlockXfer // per-buffer scratch for backend transfer batches
+	xbuf []RangeXfer // per-buffer scratch for backend transfer batches
 }
 
 // AcquireBuffer returns a fresh zeroed memoryload-sized buffer (M records,
@@ -53,7 +53,7 @@ func (s *System) ParallelReadInto(p Portion, ios []BlockIO, buf *Buffer) error {
 	if err := s.validate(p, ios); err != nil {
 		return err
 	}
-	if err := s.be.ReadBlocks(s.xfers(p, ios, buf)); err != nil {
+	if err := s.be.ReadBlockRanges(s.xfers(p, ios, buf)); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -79,7 +79,7 @@ func (s *System) ParallelWriteFrom(p Portion, ios []BlockIO, buf *Buffer) error 
 	if err := s.validate(p, ios); err != nil {
 		return err
 	}
-	if err := s.be.WriteBlocks(s.xfers(p, ios, buf)); err != nil {
+	if err := s.be.WriteBlockRanges(s.xfers(p, ios, buf)); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -93,19 +93,19 @@ func (s *System) ParallelWriteFrom(p Portion, ios []BlockIO, buf *Buffer) error 
 	return nil
 }
 
-// xfers resolves one validated parallel I/O into the physical block
-// transfers handed to the storage backend: portion-relative positions
-// become physical block numbers, frame indices become record slices. The
-// batch lives in the buffer's scratch slice — safe because a Buffer never
-// serves two parallel I/Os concurrently (its frames would race first),
-// and it keeps the per-operation hot path allocation-free.
-func (s *System) xfers(p Portion, ios []BlockIO, buf *Buffer) []BlockXfer {
+// xfers resolves one validated parallel I/O into the one-block runs handed
+// to the storage backend: portion-relative positions become physical block
+// numbers, frame indices become record slices. The batch lives in the
+// buffer's scratch slice — safe because a Buffer never serves two parallel
+// I/Os concurrently (its frames would race first), and it keeps the
+// per-operation hot path allocation-free.
+func (s *System) xfers(p Portion, ios []BlockIO, buf *Buffer) []RangeXfer {
 	if cap(buf.xbuf) < len(ios) {
-		buf.xbuf = make([]BlockXfer, s.cfg.D)
+		buf.xbuf = make([]RangeXfer, s.cfg.D)
 	}
 	xs := buf.xbuf[:len(ios)]
 	for i, io := range ios {
-		xs[i] = BlockXfer{Disk: io.Disk, Block: s.physBlock(p, io.Block), Data: buf.Frame(io.Frame)}
+		xs[i] = RangeXfer{Disk: io.Disk, Block: s.physBlock(p, io.Block), Data: buf.Frame(io.Frame)}
 	}
 	return xs
 }

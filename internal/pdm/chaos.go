@@ -10,12 +10,12 @@ package pdm
 //
 // Composability: each wrapper takes any Backend and is itself a Backend,
 // so adversaries stack over MemBackend, FileBackend, ShardedFileBackend,
-// a custom third-party backend, or each other. Every wrapper also
-// implements RangeBackend — forwarding coalesced range transfers when the
-// inner backend supports them, or emulating them block-by-block when it
-// does not — so wrapping never hides the grouped parallel-I/O path:
-// fault injection composes with BlockRangeIO coalescing instead of
-// silently disabling it.
+// a custom third-party backend, or each other. A wrapper sees every
+// transfer as the run the System issued — a one-block run from the
+// per-operation path, a coalesced run from the grouped path — decides its
+// fate, and forwards it to the inner backend unchanged (or, for a torn
+// run, only its prefix), so fault injection composes with run coalescing
+// instead of disabling it.
 //
 // Determinism contract:
 //
@@ -36,12 +36,17 @@ package pdm
 // phases (initial record loads) that should run clean.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"time"
 )
+
+// ErrInjectedFault is the sentinel wrapped by every fault an adversarial
+// wrapper injects, so callers can errors.Is for it.
+var ErrInjectedFault = errors.New("pdm: injected disk fault")
 
 // FaultMode selects which operation kinds an adversary injects on.
 type FaultMode int
@@ -264,15 +269,12 @@ func (c *chaosState) Ops() int {
 	return c.ops
 }
 
-// chaosInner is the capability-preserving view of a wrapped backend:
-// forwarding for Sync/Close/SetConcurrent, and range transfers served by
-// the inner backend when it is range-capable or emulated block-by-block
-// when it is not (the emulation moves exactly the records the equivalent
-// per-block sequence would, per the BlockRangeIO contract).
+// chaosInner is the wrapped backend as the adversaries see it: the block
+// size captured at Open (to count a run's blocks), forwarding for
+// Sync/Close/SetConcurrent, and one-run transfers.
 type chaosInner struct {
 	be Backend
-	rb RangeBackend // nil when the inner backend has no range support
-	bs int          // block size, captured at Open
+	bs int // block size, captured at Open
 }
 
 func (ci *chaosInner) open(numDisks, numBlocks, blockSize int) error {
@@ -286,38 +288,16 @@ func (ci *chaosInner) setConcurrent(on bool) {
 	}
 }
 
-// readRange serves one range transfer through the inner backend.
-func (ci *chaosInner) readRange(x RangeXfer) error {
-	if ci.rb != nil {
-		return ci.rb.ReadBlockRanges([]RangeXfer{x})
+// move forwards one run — a one-element batch — through the inner backend.
+func (ci *chaosInner) move(kind IOKind, x []RangeXfer) error {
+	if kind == IOWrite {
+		return ci.be.WriteBlockRanges(x)
 	}
-	for i := 0; i*ci.bs < len(x.Data); i++ {
-		xf := []BlockXfer{{Disk: x.Disk, Block: x.Block + i, Data: x.Data[i*ci.bs : (i+1)*ci.bs]}}
-		if err := ci.be.ReadBlocks(xf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ci.be.ReadBlockRanges(x)
 }
 
-// writeRange serves one range transfer through the inner backend.
-func (ci *chaosInner) writeRange(x RangeXfer) error {
-	if ci.rb != nil {
-		return ci.rb.WriteBlockRanges([]RangeXfer{x})
-	}
-	for i := 0; i*ci.bs < len(x.Data); i++ {
-		xf := []BlockXfer{{Disk: x.Disk, Block: x.Block + i, Data: x.Data[i*ci.bs : (i+1)*ci.bs]}}
-		if err := ci.be.WriteBlocks(xf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func wrapInner(be Backend) chaosInner {
-	rb, _ := be.(RangeBackend)
-	return chaosInner{be: be, rb: rb}
-}
+// blocks returns the number of blocks a run covers.
+func (ci *chaosInner) blocks(x RangeXfer) int { return len(x.Data) / ci.bs }
 
 // ---------------------------------------------------------------------------
 // FlakyBackend
@@ -359,17 +339,15 @@ type FlakyBackend struct {
 	st    *chaosState
 }
 
-// NewFlakyBackend wraps inner with seeded fault injection. The wrapper is
-// range-capable regardless of inner (see the package comment on
-// composability) and starts armed.
+// NewFlakyBackend wraps inner with seeded fault injection. The wrapper
+// starts armed.
 func NewFlakyBackend(inner Backend, o FlakyOptions) *FlakyBackend {
-	return &FlakyBackend{inner: wrapInner(inner), o: o, st: newChaosState(o.Seed, o.Log)}
+	return &FlakyBackend{inner: chaosInner{be: inner}, o: o, st: newChaosState(o.Seed, o.Log)}
 }
 
 // NewFaultyBackend wraps inner so every operation from number failAfter
-// (0-based, reads and writes combined) onward fails — the Backend-level
-// analog of NewFaultyDisk, composing with sharded and range-capable
-// backends instead of a single disk.
+// (0-based, reads and writes combined) onward fails — the simplest
+// count-triggered adversary.
 func NewFaultyBackend(inner Backend, failAfter int) *FlakyBackend {
 	return NewFlakyBackend(inner, FlakyOptions{FailAfterN: failAfter + 1})
 }
@@ -423,62 +401,25 @@ func (f *FlakyBackend) Open(numDisks, numBlocks, blockSize int) error {
 	return f.inner.open(numDisks, numBlocks, blockSize)
 }
 
-// ReadBlocks implements Backend: the transfers before the first injected
-// fault land, the faulted and following ones do not.
-func (f *FlakyBackend) ReadBlocks(xfers []BlockXfer) error {
-	n, ferr := 0, error(nil)
-	for _, x := range xfers {
-		if ferr = f.inject(IORead, x.Disk, x.Block, 1); ferr != nil {
-			break
-		}
-		n++
-	}
-	if n > 0 {
-		if err := f.inner.be.ReadBlocks(xfers[:n]); err != nil {
-			return err
-		}
-	}
-	return ferr
-}
-
-// WriteBlocks implements Backend (see ReadBlocks).
-func (f *FlakyBackend) WriteBlocks(xfers []BlockXfer) error {
-	n, ferr := 0, error(nil)
-	for _, x := range xfers {
-		if ferr = f.inject(IOWrite, x.Disk, x.Block, 1); ferr != nil {
-			break
-		}
-		n++
-	}
-	if n > 0 {
-		if err := f.inner.be.WriteBlocks(xfers[:n]); err != nil {
-			return err
-		}
-	}
-	return ferr
-}
-
-// ReadBlockRanges implements RangeBackend; each range transfer is one
-// injection decision, so faults compose with coalesced grouped I/O.
+// ReadBlockRanges implements Backend: each run is one injection decision,
+// in batch order, so faults compose with coalesced grouped I/O. The runs
+// before the first injected fault land; the faulted and following ones are
+// not attempted.
 func (f *FlakyBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := f.inject(IORead, x.Disk, x.Block, len(x.Data)/f.inner.bs); err != nil {
-			return err
-		}
-		if err := f.inner.readRange(x); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.transfer(IORead, xfers)
 }
 
-// WriteBlockRanges implements RangeBackend (see ReadBlockRanges).
+// WriteBlockRanges implements Backend (see ReadBlockRanges).
 func (f *FlakyBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := f.inject(IOWrite, x.Disk, x.Block, len(x.Data)/f.inner.bs); err != nil {
+	return f.transfer(IOWrite, xfers)
+}
+
+func (f *FlakyBackend) transfer(kind IOKind, xfers []RangeXfer) error {
+	for i, x := range xfers {
+		if err := f.inject(kind, x.Disk, x.Block, f.inner.blocks(x)); err != nil {
 			return err
 		}
-		if err := f.inner.writeRange(x); err != nil {
+		if err := f.inner.move(kind, xfers[i:i+1]); err != nil {
 			return err
 		}
 	}
@@ -614,9 +555,9 @@ type LatencyBackend struct {
 }
 
 // NewLatencyBackend wraps inner with deterministic injected latency. The
-// wrapper is range-capable regardless of inner and starts armed.
+// wrapper starts armed.
 func NewLatencyBackend(inner Backend, o LatencyOptions) *LatencyBackend {
-	return &LatencyBackend{inner: wrapInner(inner), o: o, st: newChaosState(o.Seed, o.Log)}
+	return &LatencyBackend{inner: chaosInner{be: inner}, o: o, st: newChaosState(o.Seed, o.Log)}
 }
 
 // Arm enables latency injection (wrappers start armed).
@@ -697,36 +638,21 @@ func (l *LatencyBackend) Open(numDisks, numBlocks, blockSize int) error {
 	return l.inner.open(numDisks, numBlocks, blockSize)
 }
 
-// ReadBlocks implements Backend.
-func (l *LatencyBackend) ReadBlocks(xfers []BlockXfer) error {
-	return l.each(len(xfers), func(i int) error {
-		l.delay(IORead, xfers[i].Disk, xfers[i].Block, 1)
-		return l.inner.be.ReadBlocks(xfers[i : i+1])
-	})
-}
-
-// WriteBlocks implements Backend.
-func (l *LatencyBackend) WriteBlocks(xfers []BlockXfer) error {
-	return l.each(len(xfers), func(i int) error {
-		l.delay(IOWrite, xfers[i].Disk, xfers[i].Block, 1)
-		return l.inner.be.WriteBlocks(xfers[i : i+1])
-	})
-}
-
-// ReadBlockRanges implements RangeBackend: a k-block range pays k blocks
-// of latency in one delay, then moves through the inner backend.
+// ReadBlockRanges implements Backend: a k-block run pays k blocks of
+// latency in one delay, then moves through the inner backend.
 func (l *LatencyBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	return l.each(len(xfers), func(i int) error {
-		l.delay(IORead, xfers[i].Disk, xfers[i].Block, len(xfers[i].Data)/l.inner.bs)
-		return l.inner.readRange(xfers[i])
-	})
+	return l.transfer(IORead, xfers)
 }
 
-// WriteBlockRanges implements RangeBackend (see ReadBlockRanges).
+// WriteBlockRanges implements Backend (see ReadBlockRanges).
 func (l *LatencyBackend) WriteBlockRanges(xfers []RangeXfer) error {
+	return l.transfer(IOWrite, xfers)
+}
+
+func (l *LatencyBackend) transfer(kind IOKind, xfers []RangeXfer) error {
 	return l.each(len(xfers), func(i int) error {
-		l.delay(IOWrite, xfers[i].Disk, xfers[i].Block, len(xfers[i].Data)/l.inner.bs)
-		return l.inner.writeRange(xfers[i])
+		l.delay(kind, xfers[i].Disk, xfers[i].Block, l.inner.blocks(xfers[i]))
+		return l.inner.move(kind, xfers[i:i+1])
 	})
 }
 
@@ -746,9 +672,9 @@ func (l *LatencyBackend) Sync() error { return l.inner.be.Sync() }
 func (l *LatencyBackend) Close() error { return l.inner.be.Close() }
 
 // ---------------------------------------------------------------------------
-// TornRangeBackend
+// TornBackend
 
-// TornOptions configures a TornRangeBackend.
+// TornOptions configures a TornBackend.
 type TornOptions struct {
 	// Seed drives the tear probability and the tear point.
 	Seed int64
@@ -764,14 +690,14 @@ type TornOptions struct {
 	Log *ChaosLog
 }
 
-// TornRangeBackend tears coalesced range transfers midway: a torn k-block
+// TornBackend tears coalesced range transfers midway: a torn k-block
 // range moves only its first 1..k-1 blocks (the tear point is seeded),
-// then fails with a wrapped ErrInjectedFault. Single-block operations are
+// then fails with a wrapped ErrInjectedFault. Single-block runs are
 // never torn — blocks land atomically, exactly the failure surface the
 // grouped parallel-I/O path must survive: per-wave accounting must not
 // double-count or lose operations, and the fallback-to-loop path must
 // leave the records exactly as the per-block reference semantics would.
-type TornRangeBackend struct {
+type TornBackend struct {
 	inner chaosInner
 	o     TornOptions
 	st    *chaosState
@@ -780,35 +706,70 @@ type TornRangeBackend struct {
 	ranges int // armed multi-block range transfers seen, for TearNth
 }
 
-// NewTornRangeBackend wraps inner with seeded torn range transfers. The
-// wrapper is range-capable regardless of inner and starts armed.
-func NewTornRangeBackend(inner Backend, o TornOptions) *TornRangeBackend {
-	return &TornRangeBackend{inner: wrapInner(inner), o: o, st: newChaosState(o.Seed, o.Log)}
+// NewTornBackend wraps inner with seeded torn range transfers. The
+// wrapper starts armed.
+func NewTornBackend(inner Backend, o TornOptions) *TornBackend {
+	return &TornBackend{inner: chaosInner{be: inner}, o: o, st: newChaosState(o.Seed, o.Log)}
 }
 
 // Arm enables tearing (wrappers start armed).
-func (tb *TornRangeBackend) Arm() { tb.st.Arm() }
+func (tb *TornBackend) Arm() { tb.st.Arm() }
 
 // Disarm makes the wrapper transparent until Arm.
-func (tb *TornRangeBackend) Disarm() { tb.st.Disarm() }
+func (tb *TornBackend) Disarm() { tb.st.Disarm() }
 
 // Reset restarts the tear schedule from operation 0.
-func (tb *TornRangeBackend) Reset() {
+func (tb *TornBackend) Reset() {
 	tb.st.Reset()
 	tb.mu.Lock()
 	tb.ranges = 0
 	tb.mu.Unlock()
 }
 
-// Ops returns the number of armed range transfers observed.
-func (tb *TornRangeBackend) Ops() int { return tb.st.Ops() }
+// Ops returns the number of armed runs observed, single-block ones
+// included.
+func (tb *TornBackend) Ops() int { return tb.st.Ops() }
 
-// tearRange serves one range transfer, torn or whole.
-func (tb *TornRangeBackend) tearRange(kind IOKind, x RangeXfer, move func(RangeXfer) error) error {
-	blocks := len(x.Data) / tb.inner.bs
+// Open implements Backend.
+func (tb *TornBackend) Open(numDisks, numBlocks, blockSize int) error {
+	return tb.inner.open(numDisks, numBlocks, blockSize)
+}
+
+// ReadBlockRanges implements Backend, tearing scheduled runs.
+func (tb *TornBackend) ReadBlockRanges(xfers []RangeXfer) error {
+	return tb.transfer(IORead, xfers)
+}
+
+// WriteBlockRanges implements Backend, tearing scheduled runs.
+func (tb *TornBackend) WriteBlockRanges(xfers []RangeXfer) error {
+	return tb.transfer(IOWrite, xfers)
+}
+
+// transfer serves each run in batch order, torn or whole, and stops at the
+// first tear.
+func (tb *TornBackend) transfer(kind IOKind, xfers []RangeXfer) error {
+	for i, x := range xfers {
+		cut, err := tb.tear(kind, x)
+		if err == nil {
+			err = tb.inner.move(kind, xfers[i:i+1])
+		} else if merr := tb.inner.move(kind, []RangeXfer{{Disk: x.Disk, Block: x.Block, Data: x.Data[:cut*tb.inner.bs]}}); merr != nil {
+			err = merr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tear decides one run's fate and logs it. A torn run reports how many of
+// its leading blocks still land (1..blocks-1) and the injected fault; a
+// whole run reports a nil error.
+func (tb *TornBackend) tear(kind IOKind, x RangeXfer) (int, error) {
+	blocks := tb.inner.blocks(x)
 	op, visit, armed := tb.st.next(kind, x.Disk, x.Block)
 	if !armed {
-		return move(x)
+		return 0, nil
 	}
 	cut := 0
 	if blocks > 1 && tb.o.Mode.matches(kind) {
@@ -824,7 +785,7 @@ func (tb *TornRangeBackend) tearRange(kind IOKind, x RangeXfer, move func(RangeX
 	ent := ChaosOp{Op: op, Kind: kind, Disk: x.Disk, Block: x.Block, Blocks: blocks, Visit: visit}
 	if cut == 0 {
 		tb.st.log.add(ent)
-		return move(x)
+		return 0, nil
 	}
 	word := "read"
 	if kind == IOWrite {
@@ -834,53 +795,14 @@ func (tb *TornRangeBackend) tearRange(kind IOKind, x RangeXfer, move func(RangeX
 		ErrInjectedFault, word, x.Disk, x.Block, x.Block+blocks, cut, blocks)
 	ent.Fault = err.Error()
 	tb.st.log.add(ent)
-	prefix := RangeXfer{Disk: x.Disk, Block: x.Block, Data: x.Data[:cut*tb.inner.bs]}
-	if merr := move(prefix); merr != nil {
-		return merr
-	}
-	return err
-}
-
-// Open implements Backend.
-func (tb *TornRangeBackend) Open(numDisks, numBlocks, blockSize int) error {
-	return tb.inner.open(numDisks, numBlocks, blockSize)
-}
-
-// ReadBlocks implements Backend; single-block operations pass through.
-func (tb *TornRangeBackend) ReadBlocks(xfers []BlockXfer) error {
-	return tb.inner.be.ReadBlocks(xfers)
-}
-
-// WriteBlocks implements Backend; single-block operations pass through.
-func (tb *TornRangeBackend) WriteBlocks(xfers []BlockXfer) error {
-	return tb.inner.be.WriteBlocks(xfers)
-}
-
-// ReadBlockRanges implements RangeBackend, tearing scheduled transfers.
-func (tb *TornRangeBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := tb.tearRange(IORead, x, tb.inner.readRange); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBlockRanges implements RangeBackend, tearing scheduled transfers.
-func (tb *TornRangeBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	for _, x := range xfers {
-		if err := tb.tearRange(IOWrite, x, tb.inner.writeRange); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cut, err
 }
 
 // SetConcurrent forwards the dispatch toggle to the inner backend.
-func (tb *TornRangeBackend) SetConcurrent(on bool) { tb.inner.setConcurrent(on) }
+func (tb *TornBackend) SetConcurrent(on bool) { tb.inner.setConcurrent(on) }
 
 // Sync implements Backend.
-func (tb *TornRangeBackend) Sync() error { return tb.inner.be.Sync() }
+func (tb *TornBackend) Sync() error { return tb.inner.be.Sync() }
 
 // Close implements Backend.
-func (tb *TornRangeBackend) Close() error { return tb.inner.be.Close() }
+func (tb *TornBackend) Close() error { return tb.inner.be.Close() }

@@ -6,57 +6,66 @@ import (
 	"time"
 )
 
-func TestFaultyDiskInjection(t *testing.T) {
+// TestFlakyBackendInjection: a fault armed partway through a record load
+// surfaces from LoadRecords, wrapped in ErrInjectedFault.
+func TestFlakyBackendInjection(t *testing.T) {
 	cfg := testConfig()
-	var faulty *FaultyDisk
-	sys, err := NewSystem(cfg, FaultyFactory(MemDiskFactory, 1, 2, &faulty))
+	// LoadRecords writes BlocksPerDisk blocks to every disk, far beyond
+	// the third operation where faults begin.
+	fb := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 3})
+	sys, err := NewSystem(cfg, fb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if faulty == nil {
-		t.Fatal("faulty disk not captured")
-	}
-	// LoadRecords writes blocks to every disk; disk 1 receives
-	// BlocksPerDisk writes, far beyond the fault threshold of 2.
 	if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err == nil {
-		t.Fatal("load through faulty disk succeeded")
+		t.Fatal("load through flaky backend succeeded")
 	} else if !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("fault not wrapped: %v", err)
 	}
+	if fb.Ops() != 3 {
+		t.Errorf("ops = %d, want the load to stop at the first fault (3)", fb.Ops())
+	}
 }
 
-func TestFaultyDiskThreshold(t *testing.T) {
-	inner := NewMemDisk(8, 4)
-	d := NewFaultyDisk(inner, 3)
+func TestFlakyBackendThreshold(t *testing.T) {
+	d := NewFaultyBackend(MemBackend(), 3)
+	if err := d.Open(2, 8, 4); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
 	buf := make([]Record, 4)
 	for i := 0; i < 3; i++ {
-		if err := d.ReadBlock(0, buf); err != nil {
+		if err := d.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
 			t.Fatalf("op %d failed before threshold: %v", i, err)
 		}
 	}
-	if err := d.ReadBlock(0, buf); !errors.Is(err, ErrInjectedFault) {
+	if err := d.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("op 3 did not fault: %v", err)
 	}
 	if d.Ops() != 4 {
 		t.Errorf("ops = %d, want 4", d.Ops())
 	}
 	// Read-only faults leave writes working.
-	d2 := &FaultyDisk{Inner: inner, FailAfter: 0, FailReads: true}
-	if err := d2.WriteBlock(0, buf); err != nil {
+	d2 := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 1, Mode: FaultReadOnly})
+	if err := d2.Open(2, 8, 4); err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if err := d2.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
 		t.Errorf("write failed with read-only faults: %v", err)
 	}
-	if err := d2.ReadBlock(0, buf); !errors.Is(err, ErrInjectedFault) {
+	if err := d2.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
 		t.Error("read did not fault")
 	}
 }
 
 // TestFaultPropagatesThroughParallelIO: an injected fault surfaces from
-// ParallelRead and the operation is not counted.
+// ParallelRead and the operation is not counted; a later operation
+// succeeds once the fault window has passed.
 func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 	cfg := testConfig()
-	var faulty *FaultyDisk
-	sys, err := NewSystem(cfg, FaultyFactory(MemDiskFactory, 2, 0, &faulty))
+	sys, err := NewSystem(cfg, NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 1, RecoverAfter: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,9 +77,11 @@ func TestFaultPropagatesThroughParallelIO(t *testing.T) {
 	if sys.Stats().ParallelReads != 0 {
 		t.Error("failed parallel read was counted")
 	}
-	// Healthy disks keep working.
 	if err := sys.ParallelRead(PortionA, []BlockIO{{Disk: 0, Block: 0, Frame: 0}}); err != nil {
-		t.Fatalf("healthy disk failed: %v", err)
+		t.Fatalf("operation after the fault window failed: %v", err)
+	}
+	if sys.Stats().ParallelReads != 1 {
+		t.Errorf("parallel reads = %d, want 1", sys.Stats().ParallelReads)
 	}
 }
 
@@ -115,10 +126,12 @@ func TestConcurrentDispatchEquivalence(t *testing.T) {
 }
 
 // TestConcurrentFaultPropagation: faults still surface under concurrent
+// dispatch — an injected fault on the second transfer of a parallel read
+// (disk 1), and an error raised inside the backend's own concurrent
 // dispatch.
 func TestConcurrentFaultPropagation(t *testing.T) {
 	cfg := testConfig()
-	sys, err := NewSystem(cfg, FaultyFactory(MemDiskFactory, 1, 0, nil))
+	sys, err := NewSystem(cfg, NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +143,21 @@ func TestConcurrentFaultPropagation(t *testing.T) {
 	}
 	if err := sys.ParallelRead(PortionA, ios); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("concurrent fault not propagated: %v", err)
+	}
+
+	be := MemBackend()
+	if err := be.Open(cfg.D, 4, cfg.B); err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	be.(concurrentSetter).SetConcurrent(true)
+	xfers := make([]RangeXfer, cfg.D)
+	for d := range xfers {
+		xfers[d] = RangeXfer{Disk: d, Block: 0, Data: make([]Record, cfg.B)}
+	}
+	xfers[1].Block = 4 // past the end of the disk
+	if err := be.ReadBlockRanges(xfers); err == nil {
+		t.Fatal("error inside concurrent dispatch not propagated")
 	}
 }
 

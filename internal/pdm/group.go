@@ -16,8 +16,7 @@ import "sort"
 // as its own parallel I/O, and traced in group order. Any shape the
 // regrouping cannot reproduce faithfully — a frame reused across the
 // group's operations, or a write landing twice on one block, both
-// order-dependent — falls back to the one-at-a-time path, as do backends
-// without range support.
+// order-dependent — falls back to the one-at-a-time path.
 //
 // Error paths match the loop too: when a coalesced range transfer fails —
 // a flaky disk, a torn range that moved only a prefix — the group degrades
@@ -43,8 +42,7 @@ func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) er
 	if buf == nil {
 		buf = s.memBuf
 	}
-	rb, ok := s.be.(RangeBackend)
-	if !ok || len(group) <= 1 {
+	if len(group) <= 1 {
 		return s.readGroupLoop(p, group, buf)
 	}
 	perDisk, total, err := s.groupRuns(p, group, false)
@@ -57,7 +55,7 @@ func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) er
 	bs := s.cfg.B
 	slab := AcquireSlab(total * bs)
 	xfers, runs := buildRuns(perDisk, slab, bs, buf)
-	if err := rb.ReadBlockRanges(xfers); err != nil {
+	if err := s.be.ReadBlockRanges(xfers); err != nil {
 		// The batched transfer failed partway; nothing was counted. Replay
 		// the group through the per-block reference path: reads are
 		// idempotent, so the replay either completes (transient fault) or
@@ -86,8 +84,7 @@ func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) e
 	if buf == nil {
 		buf = s.memBuf
 	}
-	rb, ok := s.be.(RangeBackend)
-	if !ok || len(group) <= 1 {
+	if len(group) <= 1 {
 		return s.writeGroupLoop(p, group, buf)
 	}
 	perDisk, total, err := s.groupRuns(p, group, true)
@@ -107,7 +104,7 @@ func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) e
 			copy(r.data[k*bs:(k+1)*bs], buf.Frame(ref.frame))
 		}
 	}
-	err = rb.WriteBlockRanges(xfers)
+	err = s.be.WriteBlockRanges(xfers)
 	ReleaseSlab(slab)
 	if err != nil {
 		// The batched transfer failed partway (possibly mid-range); nothing

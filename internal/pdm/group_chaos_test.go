@@ -37,7 +37,7 @@ func chaosGroup(cfg Config) [][]BlockIO {
 // operation afterwards belongs to the test's group.
 func newChaosGroupSystem(t *testing.T, be Backend, disarm func(), arm func()) *System {
 	t.Helper()
-	sys, err := NewSystemBackend(chaosGroupCfg, be)
+	sys, err := NewSystem(chaosGroupCfg, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,8 @@ func assertWaves(t *testing.T, sys *System, trace *Trace, kind IOKind, k int) {
 }
 
 // TestChaosGroupFallbackWaveAccounting drives the one-at-a-time fallback
-// path (the backend hides its range support) with a fault landing in each
+// path (every wave reuses frames 0..D-1, an order-dependent shape the
+// grouped path hands to the fallback) with a fault landing in each
 // possible wave, reads and writes both.
 func TestChaosGroupFallbackWaveAccounting(t *testing.T) {
 	waves := chaosGroupCfg.StripesPerMemoryload()
@@ -89,12 +90,17 @@ func TestChaosGroupFallbackWaveAccounting(t *testing.T) {
 		for k := 0; k < waves; k++ {
 			fb := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: k*d + 1})
 			fb.Disarm()
-			sys := newChaosGroupSystem(t, &blockOnlyBackend{inner: fb}, fb.Disarm, func() {
+			sys := newChaosGroupSystem(t, fb, fb.Disarm, func() {
 				fb.Reset()
 				fb.Arm()
 			})
 			trace := (&Trace{}).Attach(sys)
 			group := chaosGroup(chaosGroupCfg)
+			for _, ios := range group {
+				for i := range ios {
+					ios[i].Frame = ios[i].Disk
+				}
+			}
 			var err error
 			if kind == IORead {
 				err = sys.ParallelReadGroup(PortionA, group, nil)
@@ -178,7 +184,7 @@ func TestChaosGroupTransientRangeFaultRecovers(t *testing.T) {
 	t.Run("TornWrite", func(t *testing.T) {
 		// The first coalesced write range tears midway; the replay
 		// re-sends every block whole from the unchanged frames.
-		tb := NewTornRangeBackend(MemBackend(), TornOptions{Seed: 11, TearNth: 1})
+		tb := NewTornBackend(MemBackend(), TornOptions{Seed: 11, TearNth: 1})
 		tb.Disarm()
 		sys := newChaosGroupSystem(t, tb, tb.Disarm, func() {
 			tb.Reset()

@@ -16,11 +16,11 @@ import (
 // records into PortionA, and attaches a trace.
 func newGroupSystem(t *testing.T, backend string, cfg Config) (*System, *Trace) {
 	t.Helper()
-	factory := MemDiskFactory
+	be := MemBackend()
 	if backend == "file" {
-		factory = FileDiskFactory(t.TempDir())
+		be = FileBackend(t.TempDir())
 	}
-	sys, err := NewSystem(cfg, factory)
+	sys, err := NewSystem(cfg, be)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,34 +189,36 @@ func TestParallelWriteGroupDuplicateBlockFallsBack(t *testing.T) {
 	}
 }
 
-// TestBlockRangeBounds: both BlockRangeIO implementations reject ranges that
-// are empty, misaligned, or out of bounds, on reads and writes alike.
+// TestBlockRangeBounds: both built-in backends reject runs that are
+// empty, misaligned, out of bounds, or on a nonexistent disk, on reads and
+// writes alike.
 func TestBlockRangeBounds(t *testing.T) {
 	const nb, bs = 4, 8
-	fd, err := NewFileDisk(filepath.Join(t.TempDir(), "d.dat"), nb, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fd.Close() })
-	disks := map[string]BlockRangeIO{"mem": NewMemDisk(nb, bs), "file": fd}
+	backends := map[string]Backend{"mem": MemBackend(), "file": FileBackend(t.TempDir())}
 	cases := []struct {
 		name   string
+		disk   int
 		block0 int
 		recs   int
 	}{
-		{"negative block", -1, bs},
-		{"empty range", 0, 0},
-		{"misaligned range", 0, bs + 1},
-		{"past the end", 3, 2 * bs},
+		{"negative block", 0, -1, bs},
+		{"empty range", 0, 0, 0},
+		{"misaligned range", 0, 0, bs + 1},
+		{"past the end", 0, 3, 2 * bs},
+		{"nonexistent disk", 1, 0, bs},
 	}
-	for name, d := range disks {
+	for name, be := range backends {
+		if err := be.Open(1, nb, bs); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { be.Close() })
 		for _, c := range cases {
-			buf := make([]Record, c.recs)
-			if err := d.ReadBlockRange(c.block0, buf); err == nil {
-				t.Errorf("%s: ReadBlockRange accepted %s", name, c.name)
+			x := []RangeXfer{{Disk: c.disk, Block: c.block0, Data: make([]Record, c.recs)}}
+			if err := be.ReadBlockRanges(x); err == nil {
+				t.Errorf("%s: ReadBlockRanges accepted %s", name, c.name)
 			}
-			if err := d.WriteBlockRange(c.block0, buf); err == nil {
-				t.Errorf("%s: WriteBlockRange accepted %s", name, c.name)
+			if err := be.WriteBlockRanges(x); err == nil {
+				t.Errorf("%s: WriteBlockRanges accepted %s", name, c.name)
 			}
 		}
 	}
@@ -237,56 +239,58 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 		}
 		return recs
 	}
-	writeAll := func(t *testing.T, path string) {
+	open := func(t *testing.T, dir string) *fileBackend {
 		t.Helper()
-		d, err := NewFileDisk(path, nb, bs)
-		if err != nil {
+		be := FileBackend(dir).(*fileBackend)
+		if err := be.Open(1, nb, bs); err != nil {
 			t.Fatal(err)
 		}
-		// Mix the single-block and range entry points.
+		return be
+	}
+	writeAll := func(t *testing.T, dir string) {
+		t.Helper()
+		be := open(t, dir)
+		// Mix single-block and multi-block runs.
 		for blk := 0; blk < 3; blk++ {
-			if err := d.WriteBlock(blk, payload(blk)); err != nil {
+			if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: blk, Data: payload(blk)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run := append(append(append([]Record{}, payload(3)...), payload(4)...), payload(5)...)
-		if err := d.WriteBlockRange(3, run); err != nil {
+		if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 3, Data: run}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Sync(); err != nil {
+		if err := be.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Close(); err != nil {
+		if err := be.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	readAll := func(t *testing.T, path string, wantMapped bool) {
+	readAll := func(t *testing.T, dir string, wantMapped bool) {
 		t.Helper()
-		d, err := NewFileDisk(path, nb, bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		if mapped := d.raw != nil; mapped != wantMapped {
+		be := open(t, dir)
+		defer be.Close()
+		if mapped := be.disks[0].raw != nil; mapped != wantMapped {
 			t.Fatalf("mapped = %v, want %v", mapped, wantMapped)
 		}
-		if _, ok := d.BlockView(0); ok != wantMapped {
+		if _, ok := be.BlockView(0, 0); ok != wantMapped {
 			t.Errorf("BlockView availability = %v, want %v", ok, wantMapped)
 		}
 		for blk := 0; blk < nb; blk++ {
 			got := make([]Record, bs)
-			if err := d.ReadBlock(blk, got); err != nil {
+			if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: blk, Data: got}}); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, payload(blk)) {
 				t.Errorf("block %d read back wrong records", blk)
 			}
-			if view, ok := d.BlockView(blk); ok && !reflect.DeepEqual(view, payload(blk)) {
+			if view, ok := be.BlockView(0, blk); ok && !reflect.DeepEqual(view, payload(blk)) {
 				t.Errorf("block %d view holds wrong records", blk)
 			}
 		}
 		run := make([]Record, 3*bs)
-		if err := d.ReadBlockRange(2, run); err != nil {
+		if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Data: run}}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
@@ -297,19 +301,18 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 	}
 
 	defer func(old bool) { fileDiskMmap = old }(fileDiskMmap)
-	dir := t.TempDir()
-	mapped, pread := filepath.Join(dir, "mapped.dat"), filepath.Join(dir, "pread.dat")
+	mapped, pread := t.TempDir(), t.TempDir()
 
 	fileDiskMmap = true
 	writeAll(t, mapped)
 	fileDiskMmap = false
 	writeAll(t, pread)
 
-	a, err := os.ReadFile(mapped)
+	a, err := os.ReadFile(filepath.Join(mapped, "disk0000.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(pread)
+	b, err := os.ReadFile(filepath.Join(pread, "disk0000.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}

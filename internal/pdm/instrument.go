@@ -3,17 +3,17 @@ package pdm
 import "time"
 
 // OpSample describes one timed backend call: the operation shape plus its
-// wall-clock duration. For block batches every transfer is one block and
-// Runs == Blocks; for range batches Runs counts the coalesced runs the
-// grouped-I/O path issued. PerDisk holds, for each disk touched, the
-// number of blocks moved on that disk (used for per-disk latency labels —
-// the whole batch shares one duration because the backend services its
-// transfers as a unit).
+// wall-clock duration. Runs counts the transfers the call carried — one per
+// disk for a single parallel I/O, the coalesced runs for a grouped one — so
+// Runs < Blocks marks a coalesced call. PerDisk, indexed by disk, holds the
+// number of blocks moved on each disk (zero for disks the call did not
+// touch); it is used for per-disk latency labels — the whole call shares
+// one duration because the backend services its transfers as a unit.
 type OpSample struct {
-	Op      string // "read" | "write" | "range_read" | "range_write"
+	Op      string // "read" | "write"
 	Blocks  int    // total blocks moved
-	Runs    int    // transfers issued (coalesced runs for range ops)
-	PerDisk map[int]int
+	Runs    int    // transfers issued
+	PerDisk []int  // blocks moved per disk, len = number of disks
 	Start   time.Time
 	Dur     time.Duration
 }
@@ -26,31 +26,25 @@ func (s OpSample) End() time.Time { return s.Start.Add(s.Dur) }
 // not call back into the backend.
 type OpObserver func(OpSample)
 
-// InstrumentBackend wraps be so every Backend (and, when be supports it,
-// RangeBackend) call is timed and reported to obs. The wrapper preserves
-// the inner backend's optional capabilities: it implements RangeBackend,
-// BlockViewer, and SetConcurrent only by delegation, and the range
-// variant is returned only when the inner backend has one — mirroring how
-// chaos wrappers keep the grouped-I/O path conditional.
+// InstrumentBackend wraps be so every transfer call is timed and reported
+// to obs. The wrapper preserves the inner backend's optional capabilities
+// by delegation: BlockViewer and SetConcurrent.
 func InstrumentBackend(be Backend, obs OpObserver) Backend {
 	if obs == nil {
 		return be
 	}
-	in := &instrumented{be: be, obs: obs}
-	if rb, ok := be.(RangeBackend); ok {
-		return &instrumentedRange{instrumented: in, rb: rb}
-	}
-	return in
+	return &instrumented{be: be, obs: obs}
 }
 
 type instrumented struct {
-	be  Backend
-	obs OpObserver
-	bs  int // block size, captured at Open for range block accounting
+	be    Backend
+	obs   OpObserver
+	disks int // captured at Open to size PerDisk
+	bs    int // block size, captured at Open for block accounting
 }
 
 func (i *instrumented) Open(numDisks, numBlocks, blockSize int) error {
-	i.bs = blockSize
+	i.disks, i.bs = numDisks, blockSize
 	return i.be.Open(numDisks, numBlocks, blockSize)
 }
 
@@ -73,64 +67,28 @@ func (i *instrumented) BlockView(disk, block int) ([]Record, bool) {
 	return nil, false
 }
 
-func (i *instrumented) ReadBlocks(xfers []BlockXfer) error {
+func (i *instrumented) ReadBlockRanges(xfers []RangeXfer) error {
 	start := time.Now()
-	err := i.be.ReadBlocks(xfers)
+	err := i.be.ReadBlockRanges(xfers)
 	if err == nil {
-		i.obs(blockSample("read", xfers, start))
+		i.obs(i.sample("read", xfers, start))
 	}
 	return err
 }
 
-func (i *instrumented) WriteBlocks(xfers []BlockXfer) error {
+func (i *instrumented) WriteBlockRanges(xfers []RangeXfer) error {
 	start := time.Now()
-	err := i.be.WriteBlocks(xfers)
+	err := i.be.WriteBlockRanges(xfers)
 	if err == nil {
-		i.obs(blockSample("write", xfers, start))
+		i.obs(i.sample("write", xfers, start))
 	}
 	return err
 }
 
-type instrumentedRange struct {
-	*instrumented
-	rb RangeBackend
-}
-
-func (i *instrumentedRange) ReadBlockRanges(xfers []RangeXfer) error {
-	start := time.Now()
-	err := i.rb.ReadBlockRanges(xfers)
-	if err == nil {
-		i.obs(rangeSample("range_read", xfers, i.bs, start))
-	}
-	return err
-}
-
-func (i *instrumentedRange) WriteBlockRanges(xfers []RangeXfer) error {
-	start := time.Now()
-	err := i.rb.WriteBlockRanges(xfers)
-	if err == nil {
-		i.obs(rangeSample("range_write", xfers, i.bs, start))
-	}
-	return err
-}
-
-func blockSample(op string, xfers []BlockXfer, start time.Time) OpSample {
-	s := OpSample{Op: op, Runs: len(xfers), PerDisk: make(map[int]int, len(xfers)), Start: start}
+func (i *instrumented) sample(op string, xfers []RangeXfer, start time.Time) OpSample {
+	s := OpSample{Op: op, Runs: len(xfers), PerDisk: make([]int, i.disks), Start: start}
 	for _, x := range xfers {
-		s.Blocks++
-		s.PerDisk[x.Disk]++
-	}
-	s.Dur = time.Since(start)
-	return s
-}
-
-func rangeSample(op string, xfers []RangeXfer, blockSize int, start time.Time) OpSample {
-	s := OpSample{Op: op, Runs: len(xfers), PerDisk: make(map[int]int, len(xfers)), Start: start}
-	for _, x := range xfers {
-		n := 1
-		if blockSize > 0 {
-			n = len(x.Data) / blockSize
-		}
+		n := len(x.Data) / i.bs
 		s.Blocks += n
 		s.PerDisk[x.Disk] += n
 	}

@@ -1,6 +1,7 @@
 package pdm
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -16,9 +17,6 @@ func TestInstrumentBackendSamples(t *testing.T) {
 		mu.Unlock()
 	})
 
-	if _, ok := be.(RangeBackend); !ok {
-		t.Fatal("instrumented mem backend lost RangeBackend")
-	}
 	if _, ok := be.(BlockViewer); !ok {
 		t.Fatal("instrumented mem backend lost BlockViewer")
 	}
@@ -30,14 +28,14 @@ func TestInstrumentBackendSamples(t *testing.T) {
 	defer be.Close()
 
 	buf := make([]Record, 2*bs)
-	if err := be.WriteBlocks([]BlockXfer{
+	if err := be.WriteBlockRanges([]RangeXfer{
 		{Disk: 0, Block: 0, Data: buf[:bs]},
 		{Disk: 1, Block: 3, Data: buf[bs:]},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	rbuf := make([]Record, 3*bs)
-	if err := be.(RangeBackend).ReadBlockRanges([]RangeXfer{
+	if err := be.ReadBlockRanges([]RangeXfer{
 		{Disk: 0, Block: 0, Data: rbuf[:2*bs]},
 		{Disk: 1, Block: 3, Data: rbuf[2*bs:]},
 	}); err != nil {
@@ -50,12 +48,13 @@ func TestInstrumentBackendSamples(t *testing.T) {
 		t.Fatalf("got %d samples, want 2", len(samples))
 	}
 	w := samples[0]
-	if w.Op != "write" || w.Blocks != 2 || w.Runs != 2 || w.PerDisk[0] != 1 || w.PerDisk[1] != 1 {
+	if w.Op != "write" || w.Blocks != 2 || w.Runs != 2 || !reflect.DeepEqual(w.PerDisk, []int{1, 1}) {
 		t.Fatalf("write sample: %+v", w)
 	}
+	// A coalesced call: 3 blocks in 2 runs, PerDisk indexed by disk.
 	r := samples[1]
-	if r.Op != "range_read" || r.Blocks != 3 || r.Runs != 2 || r.PerDisk[0] != 2 || r.PerDisk[1] != 1 {
-		t.Fatalf("range read sample: %+v", r)
+	if r.Op != "read" || r.Blocks != 3 || r.Runs != 2 || !reflect.DeepEqual(r.PerDisk, []int{2, 1}) {
+		t.Fatalf("coalesced read sample: %+v", r)
 	}
 	if r.Dur < 0 || r.End().Before(r.Start) {
 		t.Fatalf("nonsensical timing: %+v", r)

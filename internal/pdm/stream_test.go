@@ -26,7 +26,7 @@ func TestLoadFromDumpToRoundTrip(t *testing.T) {
 		"mem":  MemBackend(),
 		"file": FileBackend(t.TempDir()),
 	} {
-		s, err := NewSystemBackend(cfg, be)
+		s, err := NewSystem(cfg, be)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,26 +138,26 @@ func TestDumpToCanceled(t *testing.T) {
 }
 
 // TestFileDiskWireFormat pins the on-disk bytes of the file backend: a
-// block written through WriteBlock must appear in the file as the
+// block written through WriteBlockRanges must appear in the file as the
 // per-record Encode sequence, whichever record path (slab view or portable
 // copy) the build uses. A change here would silently break files written
 // by other builds or earlier releases.
 func TestFileDiskWireFormat(t *testing.T) {
 	dir := t.TempDir()
 	const blocks, bsize = 4, 8
-	d, err := NewFileDisk(filepath.Join(dir, "d0.blk"), blocks, bsize)
-	if err != nil {
+	be := FileBackend(dir)
+	if err := be.Open(1, blocks, bsize); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(521))
 	recs := randomRecords(rng, bsize)
-	if err := d.WriteBlock(2, recs); err != nil {
+	if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Data: recs}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Sync(); err != nil {
+	if err := be.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "d0.blk"))
+	raw, err := os.ReadFile(filepath.Join(dir, "disk0000.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,40 +170,47 @@ func TestFileDiskWireFormat(t *testing.T) {
 		t.Fatal("file bytes diverge from per-record Encode wire format")
 	}
 	got := make([]Record, bsize)
-	if err := d.ReadBlock(2, got); err != nil {
+	if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Data: got}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range recs {
 		if got[i] != recs[i] {
-			t.Fatalf("ReadBlock diverges at %d", i)
+			t.Fatalf("ReadBlockRanges diverges at %d", i)
 		}
 	}
-	if err := d.Close(); err != nil {
+	if err := be.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestMemDiskBlockView: the copy-free view aliases the stored block and
-// rejects out-of-range block numbers.
+// TestMemDiskBlockView: the memory backend's copy-free view aliases the
+// stored block and rejects out-of-range disks and block numbers.
 func TestMemDiskBlockView(t *testing.T) {
-	d := NewMemDisk(2, 4)
-	recs := sequentialRecords(4)
-	if err := d.WriteBlock(1, recs); err != nil {
+	be := MemBackend()
+	if err := be.Open(1, 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := d.BlockView(1)
+	recs := sequentialRecords(4)
+	if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 1, Data: recs}}); err != nil {
+		t.Fatal(err)
+	}
+	viewer := be.(BlockViewer)
+	v, ok := viewer.BlockView(0, 1)
 	if !ok || len(v) != 4 {
-		t.Fatalf("BlockView(1) = (%d records, %v)", len(v), ok)
+		t.Fatalf("BlockView(0, 1) = (%d records, %v)", len(v), ok)
 	}
 	for i := range recs {
 		if v[i] != recs[i] {
 			t.Fatalf("view diverges at %d", i)
 		}
 	}
-	if _, ok := d.BlockView(2); ok {
+	if _, ok := viewer.BlockView(0, 2); ok {
 		t.Fatal("BlockView accepted an out-of-range block")
 	}
-	if _, ok := d.BlockView(-1); ok {
+	if _, ok := viewer.BlockView(0, -1); ok {
 		t.Fatal("BlockView accepted a negative block")
+	}
+	if _, ok := viewer.BlockView(1, 0); ok {
+		t.Fatal("BlockView accepted an out-of-range disk")
 	}
 }

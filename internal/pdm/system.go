@@ -19,9 +19,6 @@ const (
 	PortionB Portion = 1
 )
 
-// DiskFactory constructs the backing store for one simulated disk.
-type DiskFactory func(disk, numBlocks, blockSize int) (Disk, error)
-
 // BlockIO names one block transfer within a parallel I/O: the block at
 // position Block on disk Disk (relative to a portion) moves to or from
 // memory frame Frame.
@@ -58,18 +55,10 @@ type System struct {
 	runMu sync.RWMutex // dataset lock: writers are runs, readers are dumps
 }
 
-// NewSystem builds a System over the given configuration. factory is called
-// once per disk; pass MemDiskFactory for RAM-backed simulation or
-// FileDiskFactory(dir) for file-backed disks. It is shorthand for
-// NewSystemBackend with the disk-array backend over factory.
-func NewSystem(cfg Config, factory DiskFactory) (*System, error) {
-	return NewSystemBackend(cfg, NewDiskBackend(factory))
-}
-
-// NewSystemBackend builds a System whose block storage is the given
-// Backend. The backend is opened here (D disks, 2N/BD blocks each) and
-// owned by the System from then on: Close closes it.
-func NewSystemBackend(cfg Config, be Backend) (*System, error) {
+// NewSystem builds a System whose block storage is the given Backend. The
+// backend is opened here (D disks, 2N/BD blocks each) and owned by the
+// System from then on: Close closes it.
+func NewSystem(cfg Config, be Backend) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,8 +79,8 @@ func NewSystemBackend(cfg Config, be Backend) (*System, error) {
 	return s, nil
 }
 
-// NewMemSystem is shorthand for NewSystem(cfg, MemDiskFactory).
-func NewMemSystem(cfg Config) (*System, error) { return NewSystem(cfg, MemDiskFactory) }
+// NewMemSystem is shorthand for NewSystem(cfg, MemBackend()).
+func NewMemSystem(cfg Config) (*System, error) { return NewSystem(cfg, MemBackend()) }
 
 // Close closes the storage backend. The System must not be used afterwards.
 func (s *System) Close() error { return s.be.Close() }
@@ -251,13 +240,13 @@ func (s *System) LoadRecords(p Portion, records []Record) error {
 	// slices aliasing the caller's records — address order within a
 	// stripe is exactly D consecutive blocks, one per disk, so nothing
 	// needs staging through a scratch block.
-	xs := make([]BlockXfer, s.cfg.D)
+	xs := make([]RangeXfer, s.cfg.D)
 	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
 		for disk := 0; disk < s.cfg.D; disk++ {
 			base := s.cfg.Addr(stripe, disk, 0)
-			xs[disk] = BlockXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: records[base : base+uint64(s.cfg.B)]}
+			xs[disk] = RangeXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: records[base : base+uint64(s.cfg.B)]}
 		}
-		if err := s.be.WriteBlocks(xs); err != nil {
+		if err := s.be.WriteBlockRanges(xs); err != nil {
 			return err
 		}
 	}
@@ -272,13 +261,13 @@ func (s *System) LoadRecords(p Portion, records []Record) error {
 // portion holding the output of the most recent pass.
 func (s *System) DumpRecords(p Portion) ([]Record, error) {
 	out := make([]Record, s.cfg.N)
-	xs := make([]BlockXfer, s.cfg.D)
+	xs := make([]RangeXfer, s.cfg.D)
 	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
 		for disk := 0; disk < s.cfg.D; disk++ {
 			base := s.cfg.Addr(stripe, disk, 0)
-			xs[disk] = BlockXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: out[base : base+uint64(s.cfg.B)]}
+			xs[disk] = RangeXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: out[base : base+uint64(s.cfg.B)]}
 		}
-		if err := s.be.ReadBlocks(xs); err != nil {
+		if err := s.be.ReadBlockRanges(xs); err != nil {
 			return nil, err
 		}
 	}
@@ -298,8 +287,8 @@ func (s *System) RecordAt(p Portion, x uint64) (Record, error) {
 	}
 	buf := AcquireSlab(s.cfg.B)
 	defer ReleaseSlab(buf)
-	xf := []BlockXfer{{Disk: disk, Block: block, Data: buf}}
-	if err := s.be.ReadBlocks(xf); err != nil {
+	xf := []RangeXfer{{Disk: disk, Block: block, Data: buf}}
+	if err := s.be.ReadBlockRanges(xf); err != nil {
 		return Record{}, err
 	}
 	return buf[s.cfg.Offset(x)], nil

@@ -114,13 +114,18 @@ type ioSink struct {
 func (o *managerObs) opObserver(sink *ioSink) pdm.OpObserver {
 	return func(s pdm.OpSample) {
 		sec := s.Dur.Seconds()
-		for disk := range s.PerDisk {
+		disks := 0
+		for disk, n := range s.PerDisk {
+			if n == 0 {
+				continue
+			}
+			disks++
 			o.opLatency.With(s.Op, strconv.Itoa(disk)).Observe(sec)
 		}
 		if tb := sink.buf.Load(); tb != nil {
 			tb.Add(obs.Span{
 				Name: obs.SpanIO, Op: s.Op,
-				Disks: len(s.PerDisk), Blocks: s.Blocks, Runs: s.Runs,
+				Disks: disks, Blocks: s.Blocks, Runs: s.Runs,
 				Start: s.Start, End: s.End(),
 			})
 		}

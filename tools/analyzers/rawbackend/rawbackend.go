@@ -1,9 +1,8 @@
 // Package rawbackend pins the I/O-accounting integrity invariant: every
 // block transfer must route through pdm.System (which validates the
 // one-block-per-disk discipline and counts the parallel I/O) or through
-// pdm.InstrumentBackend. A raw Backend.ReadBlocks/WriteBlocks or
-// RangeBackend.ReadBlockRanges/WriteBlockRanges call anywhere else moves
-// records the model never counts — and from that moment the Theorem 3/21
+// pdm.InstrumentBackend. A raw Backend.ReadBlockRanges/WriteBlockRanges
+// call anywhere else moves records the model never counts — and from that moment the Theorem 3/21
 // bounds comparisons exported on /metrics silently lie.
 //
 // The backend conformance harness (repro/backendtest) is the one
@@ -23,8 +22,7 @@ import (
 
 const doc = `forbid raw Backend transfer calls outside the accounting layer
 
-ReadBlocks/WriteBlocks/ReadBlockRanges/WriteBlockRanges move records the
-cost model must count; only pdm.System and pdm.InstrumentBackend may call
+ReadBlockRanges/WriteBlockRanges move records the cost model must count; only pdm.System and pdm.InstrumentBackend may call
 them. Everything else goes through the System so /metrics stays honest.`
 
 var Analyzer = &analysis.Analyzer{
@@ -47,9 +45,8 @@ func init() {
 		"comma-separated anchored regexps of packages allowed to call transfer methods directly")
 }
 
-// xferMethods are the Backend/RangeBackend methods that move records.
+// xferMethods are the Backend methods that move records.
 var xferMethods = map[string]bool{
-	"ReadBlocks": true, "WriteBlocks": true,
 	"ReadBlockRanges": true, "WriteBlockRanges": true,
 }
 

@@ -5,26 +5,26 @@ package b
 import "repro/internal/pdm"
 
 func Leak(be pdm.Backend) error {
-	return be.ReadBlocks(0, nil) // want "raw backend transfer ReadBlocks bypasses"
+	return be.ReadBlockRanges(nil) // want "raw backend transfer ReadBlockRanges bypasses"
 }
 
 func LeakWrite(s *pdm.System) error {
-	return s.B.WriteBlocks(0, nil) // want "raw backend transfer WriteBlocks bypasses"
+	return s.B.WriteBlockRanges(nil) // want "raw backend transfer WriteBlockRanges bypasses"
 }
 
-func Routed(s *pdm.System, disk int, blocks []int) error {
-	return s.Load(disk, blocks) // ok: routed through the accounting layer
+func Routed(s *pdm.System, xfers []pdm.RangeXfer) error {
+	return s.Load(xfers) // ok: routed through the accounting layer
 }
 
 type local struct{}
 
-func (local) ReadBlocks(int, []int) error { return nil }
+func (local) ReadBlockRanges([]int) error { return nil }
 
 func Unrelated(l local) error {
-	return l.ReadBlocks(0, nil) // ok: same method name on a non-backend type
+	return l.ReadBlockRanges(nil) // ok: same method name on a non-backend type
 }
 
 func Suppressed(be pdm.Backend) error {
 	//lint:allow rawbackend -- golden test for the suppression mechanism
-	return be.ReadBlocks(0, nil)
+	return be.ReadBlockRanges(nil)
 }
