@@ -387,6 +387,72 @@ func TestClusterRebalanceAndLeave(t *testing.T) {
 	verify("after post-leave job")
 }
 
+// TestClusterDownloadDuringJoin loops downloads of every dataset while
+// workers join and leave. A join's rebalance hands datasets off between
+// workers; a download routed by the old placement must wait for the move
+// (or follow it), never surface the source's "being handed off" 503 or
+// "has been deleted" 410.
+func TestClusterDownloadDuringJoin(t *testing.T) {
+	tc := startTestCluster(t, 2, nil)
+	c := tc.client()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	const nds = 6
+	inputs := map[string][]byte{}
+	for i := 0; i < nds; i++ {
+		ds, err := c.CreateDataset(ctx, client.CreateDatasetRequest{Config: testCfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := makeInput(testCfg.N)
+		if err := c.UploadDataset(ctx, ds.ID, bytes.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+		inputs[ds.ID] = in
+	}
+
+	stop := make(chan struct{})
+	errc := make(chan error, 1)
+	go func() {
+		defer close(errc)
+		for {
+			for id, want := range inputs {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var got bytes.Buffer
+				if err := c.DownloadDataset(ctx, id, &got); err != nil {
+					errc <- fmt.Errorf("downloading %s: %w", id, err)
+					return
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					errc <- fmt.Errorf("dataset %s lost bytes", id)
+					return
+				}
+			}
+		}
+	}()
+
+	for round := 0; round < 4; round++ {
+		w := tc.addWorker(2+round, nil)
+		tc.waitWorkers(3)
+		// Join's rebalance runs inside the worker's join call, after the
+		// registry already lists it; give the downloads time to overlap it.
+		time.Sleep(50 * time.Millisecond)
+		if err := w.member.Leave(ctx); err != nil {
+			t.Fatalf("round %d: leave: %v", round, err)
+		}
+		tc.waitWorkers(2)
+	}
+	close(stop)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCoordinatorRestartRediscovers kills the coordinator process state
 // entirely — registry, ring, placements — and starts a fresh one on the
 // same address. Workers notice via 404 heartbeats, re-join, and the new
