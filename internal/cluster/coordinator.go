@@ -61,6 +61,14 @@ type placement struct {
 	stripes []stripeLoc
 	jobsRun int
 	created time.Time
+
+	// moveGate orders data-plane calls against stripe moves: a call holds
+	// it shared from resolving the stripes until its last worker request
+	// ends, and rebalance holds it exclusively while it hands a stripe off
+	// and repoints the placement. A call never reaches a source worker
+	// mid-handoff or after the handoff deleted its copy; it waits for the
+	// move and then goes to the new owner.
+	moveGate sync.RWMutex
 }
 
 type stripeLoc struct {
@@ -414,37 +422,53 @@ func (c *Coordinator) rebalance() {
 	}
 	c.mu.Unlock()
 	for _, mv := range moves {
-		src, err := c.clientFor(mv.from)
-		if err != nil {
-			continue
-		}
-		dst, ok := c.reg.addrOf(mv.to)
-		if !ok {
-			continue
-		}
-		dsID := mv.p.stripes[mv.idx].dsID
-		//lint:allow ctxio -- rebalance runs on the coordinator maintenance loop, not a request; bounded by 10x CallTimeout
-		ctx, cancel := context.WithTimeout(context.Background(), 10*c.o.CallTimeout)
-		_, err = src.HandoffDataset(ctx, dsID, client.HandoffRequest{Target: dst, Delete: true})
-		cancel()
-		if err != nil {
-			c.log.Warn("rebalance handoff failed; placement unchanged",
-				"dataset", dsID, "from", mv.from, "to", mv.to, "err", err)
-			continue
-		}
-		c.mu.Lock()
-		mv.p.stripes[mv.idx].worker = mv.to
-		c.mu.Unlock()
-		c.log.Info("dataset rebalanced", "dataset", dsID, "from", mv.from, "to", mv.to)
+		c.move(mv.p, mv.idx, mv.from, mv.to)
 	}
+}
+
+// move hands stripe idx of p from worker from to worker to and repoints
+// the placement, holding p's move gate exclusively throughout. A move
+// that went stale while it waited for the gate — the placement dropped
+// or the stripe already elsewhere — is skipped.
+func (c *Coordinator) move(p *placement, idx int, from, to string) {
+	p.moveGate.Lock()
+	defer p.moveGate.Unlock()
+	c.mu.Lock()
+	current := c.placements[p.id] == p && p.stripes[idx].worker == from
+	dsID := p.stripes[idx].dsID
+	c.mu.Unlock()
+	if !current {
+		return
+	}
+	src, err := c.clientFor(from)
+	if err != nil {
+		return
+	}
+	dst, ok := c.reg.addrOf(to)
+	if !ok {
+		return
+	}
+	//lint:allow ctxio -- rebalance runs on the coordinator maintenance loop, not a request; bounded by 10x CallTimeout
+	ctx, cancel := context.WithTimeout(context.Background(), 10*c.o.CallTimeout)
+	_, err = src.HandoffDataset(ctx, dsID, client.HandoffRequest{Target: dst, Delete: true})
+	cancel()
+	if err != nil {
+		c.log.Warn("rebalance handoff failed; placement unchanged",
+			"dataset", dsID, "from", from, "to", to, "err", err)
+		return
+	}
+	c.mu.Lock()
+	p.stripes[idx].worker = to
+	c.mu.Unlock()
+	c.log.Info("dataset rebalanced", "dataset", dsID, "from", from, "to", to)
 }
 
 // placementOf resolves a dataset id, insisting every stripe has a live
 // worker.
 func (c *Coordinator) placementOf(id string) (*placement, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	p, ok := c.placements[id]
-	c.mu.Unlock()
 	if !ok {
 		return nil, apiErr(http.StatusNotFound, fmt.Sprintf("unknown dataset %q", id))
 	}
@@ -455,6 +479,28 @@ func (c *Coordinator) placementOf(id string) (*placement, error) {
 		}
 	}
 	return p, nil
+}
+
+// usePlacement resolves id like placementOf and holds the placement's
+// move gate shared until the returned release is called, so the stripes
+// it reports stay where they are for the duration of a data-plane call.
+// A call that arrives during a move waits for it and resolves again.
+func (c *Coordinator) usePlacement(id string) (*placement, func(), error) {
+	for {
+		p, err := c.placementOf(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.moveGate.RLock()
+		c.mu.Lock()
+		current := c.placements[id] == p
+		c.mu.Unlock()
+		if current {
+			return p, p.moveGate.RUnlock, nil
+		}
+		// Dropped or replaced while the call waited; resolve afresh.
+		p.moveGate.RUnlock()
+	}
 }
 
 // nextID mints a coordinator-scoped id with the given prefix.
@@ -501,10 +547,17 @@ func (c *Coordinator) datasetStatuses(ctx context.Context) []*service.DatasetSta
 
 // datasetStatus synthesizes one dataset's status from its stripes.
 func (c *Coordinator) datasetStatus(ctx context.Context, id string) (*service.DatasetStatus, error) {
-	p, err := c.placementOf(id)
+	p, release, err := c.usePlacement(id)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
+	return c.statusOf(ctx, p)
+}
+
+// statusOf asks p's workers for their stripes' status; the caller holds
+// p's move gate.
+func (c *Coordinator) statusOf(ctx context.Context, p *placement) (*service.DatasetStatus, error) {
 	st := &service.DatasetStatus{ID: p.id, Config: p.cfg, Backend: p.backend, InputLoaded: true, Created: p.created}
 	c.mu.Lock()
 	st.JobsRun = p.jobsRun

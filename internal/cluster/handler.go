@@ -173,10 +173,11 @@ func (c *Coordinator) pickWorker() (string, error) {
 // worker's job id is the cluster-wide job id.
 func (c *Coordinator) submitJob(ctx context.Context, req service.SubmitRequest) (*service.JobStatus, error) {
 	if req.Dataset != "" {
-		p, err := c.placementOf(req.Dataset)
+		p, release, err := c.usePlacement(req.Dataset)
 		if err != nil {
 			return nil, err
 		}
+		defer release()
 		if p.striped {
 			return c.submitStriped(req, p)
 		}
@@ -575,11 +576,12 @@ func (h *handler) deleteDataset(w http.ResponseWriter, r *http.Request) {
 // datasetInput streams an upload to the owning worker, or splits it into
 // contiguous per-stripe ranges for striped datasets.
 func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
-	p, err := h.c.placementOf(r.PathValue("id"))
+	p, release, err := h.c.usePlacement(r.PathValue("id"))
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
+	defer release()
 	if !p.striped {
 		h.proxyToWorker(w, r, p.stripes[0].worker)
 		return
@@ -610,11 +612,12 @@ func (h *handler) datasetInput(w http.ResponseWriter, r *http.Request) {
 // datasetOutput streams a download from the owning worker, or concatenates
 // the stripes in logical order for striped datasets.
 func (h *handler) datasetOutput(w http.ResponseWriter, r *http.Request) {
-	p, err := h.c.placementOf(r.PathValue("id"))
+	p, release, err := h.c.usePlacement(r.PathValue("id"))
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
+	defer release()
 	if !p.striped {
 		h.proxyToWorker(w, r, p.stripes[0].worker)
 		return

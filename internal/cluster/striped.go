@@ -411,11 +411,12 @@ func (c *Coordinator) rollbackCreate(p *placement, created []stripeLoc) {
 // errors abort with the placement intact, except gone/unknown answers,
 // which mean the work is already done.
 func (c *Coordinator) deleteDataset(ctx context.Context, id string) (*service.DatasetStatus, error) {
-	p, err := c.placementOf(id)
+	p, release, err := c.usePlacement(id)
 	if err != nil {
 		return nil, err
 	}
-	st, err := c.datasetStatus(ctx, id)
+	defer release()
+	st, err := c.statusOf(ctx, p)
 	if err != nil {
 		return nil, err
 	}
