@@ -19,7 +19,7 @@ import (
 // Implementations must tolerate calls from distinct goroutines (the
 // pipelined pass runner overlaps a prefetch read with an in-flight write),
 // must serialize per-disk access themselves, and must not retain a
-// transfer's Data after the call returns; see the interface documentation
+// transfer's block vector, or any slice in it, after the call returns; see the interface documentation
 // in internal/pdm for the full contract. The three built-in backends —
 // MemBackend, FileBackend, ShardedBackend — cover RAM, single-directory,
 // and multi-volume layouts.
@@ -43,10 +43,11 @@ func FileBackend(dir string) Backend { return pdm.FileBackend(dir) }
 // independently seeking spindles.
 func ShardedBackend(dirs ...string) Backend { return pdm.ShardedFileBackend(dirs...) }
 
-// RangeXfer is one block run within a Backend batch: len(Data)/blockSize
-// consecutive physical blocks of disk Disk starting at Block move to or
-// from the Data slice in one operation. A single-block transfer is a run
-// of length 1.
+// RangeXfer is one block run within a Backend batch: len(Blocks)
+// consecutive physical blocks of disk Disk starting at Block, the k'th
+// moving to or from Blocks[k] — one B-record slice per block, in block
+// order, shaped like preadv/pwritev. A single-block transfer is a
+// one-element vector.
 type RangeXfer = pdm.RangeXfer
 
 // ErrInjectedFault is the sentinel wrapped by every failure the chaos

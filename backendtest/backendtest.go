@@ -13,11 +13,13 @@
 // The harness exercises exactly the guarantees the disk system above the
 // backend relies on: geometry sizing at Open, full-block read/write round
 // trips, the run contract of ReadBlockRanges/WriteBlockRanges (multi-block
-// runs, several runs per disk in one call, rejection of malformed runs),
-// tolerance of concurrent calls from distinct goroutines with per-disk
-// serialization owned by the backend, independence from the caller's
-// transfer buffers after a call returns, and Sync/Close semantics. The library's own MemBackend, FileBackend,
-// and ShardedBackend pass this harness in CI (see the package tests).
+// runs, several runs per disk in one call, block vectors whose elements sit
+// anywhere in memory, rejection of malformed runs and vectors), tolerance
+// of concurrent calls from distinct goroutines with per-disk serialization
+// owned by the backend, independence from the caller's transfer buffers
+// after a call returns, and Sync/Close semantics. The library's own
+// MemBackend, FileBackend, and ShardedBackend pass this harness in CI (see
+// the package tests).
 package backendtest
 
 import (
@@ -58,6 +60,9 @@ func fill(buf []bmmc.Record, gen, disk, block int) {
 	}
 }
 
+// one wraps a single block as a one-element block vector.
+func one(block []bmmc.Record) [][]bmmc.Record { return [][]bmmc.Record{block} }
+
 // open runs the factory and opens the result with the harness geometry,
 // registering cleanup.
 func open(t *testing.T, factory Factory) bmmc.Backend {
@@ -82,7 +87,7 @@ func writeAll(t *testing.T, be bmmc.Backend, gen int) {
 		for disk := 0; disk < numDisks; disk++ {
 			data := make([]bmmc.Record, blockSize)
 			fill(data, gen, disk, block)
-			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: data}
+			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Blocks: one(data)}
 		}
 		if err := be.WriteBlockRanges(xfers); err != nil {
 			t.Fatalf("WriteBlockRanges(stripe %d): %v", block, err)
@@ -97,13 +102,13 @@ func checkAll(t *testing.T, be bmmc.Backend, gen int) {
 	for block := 0; block < numBlocks; block++ {
 		xfers := make([]bmmc.RangeXfer, numDisks)
 		for disk := 0; disk < numDisks; disk++ {
-			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
+			xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Blocks: one(make([]bmmc.Record, blockSize))}
 		}
 		if err := be.ReadBlockRanges(xfers); err != nil {
 			t.Fatalf("ReadBlockRanges(stripe %d): %v", block, err)
 		}
 		for disk := 0; disk < numDisks; disk++ {
-			for i, got := range xfers[disk].Data {
+			for i, got := range xfers[disk].Blocks[0] {
 				if want := rec(gen, disk, block, i); got != want {
 					t.Fatalf("disk %d block %d record %d: got %+v, want %+v", disk, block, i, got, want)
 				}
@@ -131,13 +136,14 @@ func Run(t *testing.T, factory Factory) {
 
 	t.Run("BufferAliasing", func(t *testing.T) {
 		// WriteBlockRanges must capture the transfer's content before returning:
-		// the disk system reuses one scratch slice across batches, so a
-		// backend holding a reference to Data corrupts the previous write.
+		// the disk system reuses its buffers and vectors across batches, so
+		// a backend holding a reference to a block corrupts the previous
+		// write.
 		be := open(t, factory)
 		buf := make([]bmmc.Record, blockSize)
 		for block := 0; block < numBlocks; block++ {
 			fill(buf, 3, 0, block)
-			if err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: buf}}); err != nil {
+			if err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Blocks: one(buf)}}); err != nil {
 				t.Fatalf("WriteBlockRanges(block %d): %v", block, err)
 			}
 			// Scribble over the shared buffer before the next use.
@@ -147,7 +153,7 @@ func Run(t *testing.T, factory Factory) {
 		}
 		for block := 0; block < numBlocks; block++ {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
+			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Blocks: one(got)}}); err != nil {
 				t.Fatalf("ReadBlockRanges(block %d): %v", block, err)
 			}
 			for i, g := range got {
@@ -174,14 +180,14 @@ func Run(t *testing.T, factory Factory) {
 				for block := 0; block < half; block++ {
 					xfers := make([]bmmc.RangeXfer, numDisks)
 					for disk := 0; disk < numDisks; disk++ {
-						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: make([]bmmc.Record, blockSize)}
+						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Blocks: one(make([]bmmc.Record, blockSize))}
 					}
 					if err := be.ReadBlockRanges(xfers); err != nil {
 						errs <- fmt.Errorf("concurrent read: %w", err)
 						return
 					}
 					for disk := 0; disk < numDisks; disk++ {
-						for i, got := range xfers[disk].Data {
+						for i, got := range xfers[disk].Blocks[0] {
 							if want := rec(4, disk, block, i); got != want {
 								errs <- fmt.Errorf("torn read at disk %d block %d record %d: %+v", disk, block, i, got)
 								return
@@ -199,7 +205,7 @@ func Run(t *testing.T, factory Factory) {
 					for disk := 0; disk < numDisks; disk++ {
 						data := make([]bmmc.Record, blockSize)
 						fill(data, 5+round, disk, block)
-						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Data: data}
+						xfers[disk] = bmmc.RangeXfer{Disk: disk, Block: block, Blocks: one(data)}
 					}
 					if err := be.WriteBlockRanges(xfers); err != nil {
 						errs <- fmt.Errorf("concurrent write: %w", err)
@@ -218,7 +224,7 @@ func Run(t *testing.T, factory Factory) {
 		for block := half; block < numBlocks; block++ {
 			got := make([]bmmc.Record, blockSize)
 			for disk := 0; disk < numDisks; disk++ {
-				if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+				if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Blocks: one(got)}}); err != nil {
 					t.Fatal(err)
 				}
 				for i, g := range got {
@@ -245,11 +251,11 @@ func Run(t *testing.T, factory Factory) {
 				got := make([]bmmc.Record, blockSize)
 				for round := 0; round < 16; round++ {
 					fill(data, 100+round, 1, block)
-					if err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 1, Block: block, Data: data}}); err != nil {
+					if err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 1, Block: block, Blocks: one(data)}}); err != nil {
 						errs <- fmt.Errorf("write disk 1 block %d: %w", block, err)
 						return
 					}
-					if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 1, Block: block, Data: got}}); err != nil {
+					if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 1, Block: block, Blocks: one(got)}}); err != nil {
 						errs <- fmt.Errorf("read disk 1 block %d: %w", block, err)
 						return
 					}
@@ -289,51 +295,86 @@ func Run(t *testing.T, factory Factory) {
 }
 
 // checkRanges exercises the run contract on an opened backend: multi-block
-// runs round-trip, one call may carry several runs on the same disk, and a
-// run that is not a whole number of blocks, or that reaches past the end
-// of its disk, is rejected.
+// runs round-trip, one call may carry several runs on the same disk, a
+// run's vector elements may sit anywhere in memory and in any order, and a
+// malformed run — an element that is not exactly one block, an empty
+// vector, a run reaching past the end of its disk or starting before it —
+// is rejected without touching the disk.
 func checkRanges(t *testing.T, be bmmc.Backend) {
 	t.Helper()
 	writeAll(t, be, 20)
 
-	// One call, two disjoint runs on disk 2 (blocks 0..2 and 5..7) plus a
-	// single-block run on disk 0.
-	run := func(gen, disk, block0, blocks int) bmmc.RangeXfer {
-		data := make([]bmmc.Record, blocks*blockSize)
-		for b := 0; b < blocks; b++ {
-			fill(data[b*blockSize:(b+1)*blockSize], gen, disk, block0+b)
+	// A vector over one contiguous slab, the shape of a stream or bulk
+	// load: block k of the run is slab[k*B:(k+1)*B].
+	slabVec := func(blocks int) [][]bmmc.Record {
+		slab := make([]bmmc.Record, blocks*blockSize)
+		v := make([][]bmmc.Record, blocks)
+		for k := range v {
+			v[k] = slab[k*blockSize : (k+1)*blockSize]
 		}
-		return bmmc.RangeXfer{Disk: disk, Block: block0, Data: data}
+		return v
 	}
-	writes := []bmmc.RangeXfer{run(21, 2, 0, 3), run(21, 0, 4, 1), run(21, 2, 5, 3)}
+	// A vector whose elements are frames of one arena taken in a shuffled
+	// order with gaps — neither adjacent nor in memory order — the shape
+	// of a grouped parallel I/O over buffer frames.
+	scatterVec := func(blocks int) [][]bmmc.Record {
+		arena := make([]bmmc.Record, 3*blocks*blockSize)
+		v := make([][]bmmc.Record, blocks)
+		for k := range v {
+			f := 3 * (blocks - 1 - k) // descending, every third frame
+			if k%2 == 1 {
+				f++ // and not evenly spaced
+			}
+			v[k] = arena[f*blockSize : (f+1)*blockSize]
+		}
+		return v
+	}
+	run := func(vec func(int) [][]bmmc.Record, gen, disk, block0, blocks int) bmmc.RangeXfer {
+		v := vec(blocks)
+		for k, blk := range v {
+			fill(blk, gen, disk, block0+k)
+		}
+		return bmmc.RangeXfer{Disk: disk, Block: block0, Blocks: v}
+	}
+
+	// One call, two disjoint runs on disk 2 (blocks 0..2 and 5..7) plus a
+	// single-block run on disk 0, and a scattered-frame run on disk 3.
+	writes := []bmmc.RangeXfer{
+		run(slabVec, 21, 2, 0, 3), run(slabVec, 21, 0, 4, 1), run(scatterVec, 21, 2, 5, 3),
+		run(scatterVec, 21, 3, 1, 4),
+	}
 	if err := be.WriteBlockRanges(writes); err != nil {
 		t.Fatalf("WriteBlockRanges(several runs per disk): %v", err)
 	}
 	gen := func(disk, block int) int {
 		switch {
-		case disk == 2 && (block <= 2 || block >= 5), disk == 0 && block == 4:
+		case disk == 2 && (block <= 2 || block >= 5), disk == 0 && block == 4, disk == 3 && block >= 1 && block <= 4:
 			return 21
 		}
 		return 20
 	}
 
-	// Read the whole of disks 2 and 0 back as one full-disk run each, and
-	// disk 2 once more as two runs in the same call.
-	whole := []bmmc.RangeXfer{
-		{Disk: 2, Block: 0, Data: make([]bmmc.Record, numBlocks*blockSize)},
-		{Disk: 0, Block: 0, Data: make([]bmmc.Record, numBlocks*blockSize)},
-		{Disk: 2, Block: 1, Data: make([]bmmc.Record, 2*blockSize)},
-		{Disk: 2, Block: 4, Data: make([]bmmc.Record, 3*blockSize)},
+	// Read the whole of disks 2 and 0 back as one full-disk run each, disk
+	// 2 once more as two runs in the same call, and disk 3 through
+	// scattered frames.
+	reads := []bmmc.RangeXfer{
+		{Disk: 2, Block: 0, Blocks: slabVec(numBlocks)},
+		{Disk: 0, Block: 0, Blocks: scatterVec(numBlocks)},
+		{Disk: 2, Block: 1, Blocks: slabVec(2)},
+		{Disk: 2, Block: 4, Blocks: scatterVec(3)},
+		{Disk: 3, Block: 0, Blocks: scatterVec(numBlocks)},
 	}
-	if err := be.ReadBlockRanges(whole); err != nil {
+	if err := be.ReadBlockRanges(reads); err != nil {
 		t.Fatalf("ReadBlockRanges(several runs per disk): %v", err)
 	}
-	for _, x := range whole {
-		for i, got := range x.Data {
-			block := x.Block + i/blockSize
-			if want := rec(gen(x.Disk, block), x.Disk, block, i%blockSize); got != want {
-				t.Fatalf("run [disk %d, block %d, %d records]: block %d record %d: got %+v, want %+v",
-					x.Disk, x.Block, len(x.Data), block, i%blockSize, got, want)
+	for _, x := range reads {
+		for k, blk := range x.Blocks {
+			block := x.Block + k
+			for i, got := range blk {
+				if want := rec(gen(x.Disk, block), x.Disk, block, i); got != want {
+					t.Fatalf("run [disk %d, block %d, %d blocks]: block %d record %d: got %+v, want %+v",
+						x.Disk, x.Block, len(x.Blocks), block, i, got, want)
+				}
 			}
 		}
 	}
@@ -341,7 +382,7 @@ func checkRanges(t *testing.T, be bmmc.Backend) {
 		t.Helper()
 		for block := 0; block < numBlocks; block++ {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Blocks: one(got)}}); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range got {
@@ -351,20 +392,29 @@ func checkRanges(t *testing.T, be bmmc.Backend) {
 			}
 		}
 	}
+	short := slabVec(2)
+	short[1] = short[1][:blockSize-1]
+	long := scatterVec(2)
+	long[0] = append(long[0][:blockSize:blockSize], bmmc.Record{})
 	bad := []struct {
 		name string
 		x    bmmc.RangeXfer
 	}{
-		{"partial block", bmmc.RangeXfer{Disk: 1, Block: 0, Data: make([]bmmc.Record, blockSize+1)}},
-		{"past the end", bmmc.RangeXfer{Disk: 1, Block: numBlocks - 1, Data: make([]bmmc.Record, 2*blockSize)}},
-		{"negative block", bmmc.RangeXfer{Disk: 1, Block: -1, Data: make([]bmmc.Record, blockSize)}},
+		{"a short element", bmmc.RangeXfer{Disk: 1, Block: 0, Blocks: short}},
+		{"a long element", bmmc.RangeXfer{Disk: 1, Block: 2, Blocks: long}},
+		{"an empty vector", bmmc.RangeXfer{Disk: 1, Block: 0, Blocks: nil}},
+		{"past the end", bmmc.RangeXfer{Disk: 1, Block: numBlocks - 1, Blocks: scatterVec(2)}},
+		{"a negative block", bmmc.RangeXfer{Disk: 1, Block: -1, Blocks: slabVec(1)}},
 	}
 	for _, c := range bad {
-		if err := be.ReadBlockRanges([]bmmc.RangeXfer{c.x}); err == nil {
-			t.Errorf("ReadBlockRanges accepted a run that is %s", c.name)
+		for k, blk := range c.x.Blocks {
+			fill(blk, 22, 1, c.x.Block+k)
 		}
 		if err := be.WriteBlockRanges([]bmmc.RangeXfer{c.x}); err == nil {
-			t.Errorf("WriteBlockRanges accepted a run that is %s", c.name)
+			t.Errorf("WriteBlockRanges accepted a run with %s", c.name)
+		}
+		if err := be.ReadBlockRanges([]bmmc.RangeXfer{c.x}); err == nil {
+			t.Errorf("ReadBlockRanges accepted a run with %s", c.name)
 		}
 	}
 	checkUntouched(1)

@@ -36,7 +36,7 @@ func RunChaos(t *testing.T, factory Factory) {
 		})
 		buf := make([]bmmc.Record, blockSize)
 		fill(buf, 1, 0, 0)
-		err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: 0, Data: buf}})
+		err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: 0, Blocks: one(buf)}})
 		if !errors.Is(err, chaos.ErrInjectedFault) || !errors.Is(err, bmmc.ErrInjectedFault) {
 			t.Fatalf("want an error wrapping ErrInjectedFault, got %v", err)
 		}
@@ -97,8 +97,9 @@ func RunChaos(t *testing.T, factory Factory) {
 	})
 
 	t.Run("TornRangeLeavesPrefix", func(t *testing.T) {
-		// A torn multi-block write moves a whole-block prefix and leaves
-		// the rest untouched — no block is half old, half new.
+		// A torn multi-block write moves a whole-block prefix of its
+		// vector and leaves the rest untouched — no block is half old,
+		// half new.
 		tb := chaos.TornRange(nil, chaos.TornOptions{})
 		be := openWrapped(t, factory, func(inner bmmc.Backend) bmmc.Backend {
 			tb = chaos.TornRange(inner, chaos.TornOptions{Seed: 7, TearNth: 1})
@@ -109,11 +110,16 @@ func RunChaos(t *testing.T, factory Factory) {
 		tb.Arm()
 
 		const runLen = 4 // consecutive blocks 0..3 of disk 0
-		data := make([]bmmc.Record, runLen*blockSize)
-		for b := 0; b < runLen; b++ {
-			fill(data[b*blockSize:(b+1)*blockSize], 2, 0, b)
+		// The vector's frames sit in reverse memory order, so a tear that
+		// cut the arena rather than the vector would show.
+		arena := make([]bmmc.Record, runLen*blockSize)
+		vec := make([][]bmmc.Record, runLen)
+		for b := range vec {
+			f := runLen - 1 - b
+			vec[b] = arena[f*blockSize : (f+1)*blockSize]
+			fill(vec[b], 2, 0, b)
 		}
-		err := tb.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: 0, Data: data}})
+		err := tb.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: 0, Blocks: vec}})
 		if !errors.Is(err, chaos.ErrInjectedFault) {
 			t.Fatalf("want a torn-range fault, got %v", err)
 		}
@@ -122,7 +128,7 @@ func RunChaos(t *testing.T, factory Factory) {
 		sawOld := false
 		for b := 0; b < runLen; b++ {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: b, Data: got}}); err != nil {
+			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: b, Blocks: one(got)}}); err != nil {
 				t.Fatal(err)
 			}
 			gen := 0
@@ -157,14 +163,14 @@ func RunChaos(t *testing.T, factory Factory) {
 		buf := make([]bmmc.Record, blockSize)
 		for op := 0; op < 3; op++ {
 			fill(buf, 3, 0, op)
-			err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: op, Data: buf}})
+			err := be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: op, Blocks: one(buf)}})
 			if wantFault := op == 1; (err != nil) != wantFault {
 				t.Fatalf("op %d: err=%v, want fault=%v", op, err, wantFault)
 			}
 		}
 		for _, block := range []int{0, 2} {
 			got := make([]bmmc.Record, blockSize)
-			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Data: got}}); err != nil {
+			if err := be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: 0, Block: block, Blocks: one(got)}}); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range got {
@@ -227,9 +233,9 @@ func chaosTranscript(be bmmc.Backend) string {
 				var err error
 				if kind == "W" {
 					fill(buf, 9, disk, block)
-					err = be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: buf}})
+					err = be.WriteBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Blocks: one(buf)}})
 				} else {
-					err = be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Data: buf}})
+					err = be.ReadBlockRanges([]bmmc.RangeXfer{{Disk: disk, Block: block, Blocks: one(buf)}})
 				}
 				out += fmt.Sprintf("%s d%d b%d err=%v\n", kind, disk, block, err)
 			}

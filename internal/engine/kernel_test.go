@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -145,5 +146,65 @@ func TestPassEventReportsKernel(t *testing.T) {
 	}
 	if kernel == "" {
 		t.Fatal("no kernel reported for BMMC run")
+	}
+}
+
+// TestIncrementalKernelsMatchOracle runs the one-pass algorithms through
+// the per-record kernel (one Apply per 256-address chunk, one lookup per
+// record) and through the default kernel, sharded over 1, 3 and 7
+// workers, and checks every result against the y = Ax ⊕ c oracle and
+// every Stats against the first run's. Seven workers split a load at
+// indices that are not 256-aligned; the geometries cover M < 256 (a chunk
+// spans several memoryloads), lg N < 8 (one chunk spans the whole
+// address space), B ≥ 256 (a frame spans several chunks), and neither.
+func TestIncrementalKernelsMatchOracle(t *testing.T) {
+	cfgs := []pdm.Config{
+		{N: 1 << 12, D: 4, B: 8, M: 1 << 7},
+		{N: 1 << 7, D: 2, B: 4, M: 1 << 5},
+		{N: 1 << 13, D: 4, B: 16, M: 1 << 10},
+		{N: 1 << 14, D: 2, B: 512, M: 1 << 12},
+	}
+	rng := rand.New(rand.NewSource(560))
+	for _, cfg := range cfgs {
+		n, b, m := cfg.LgN(), cfg.LgB(), cfg.LgM()
+		passes := []struct {
+			name string
+			p    perm.BMMC
+			run  func(context.Context, *pdm.System, perm.BMMC, Options) error
+		}{
+			{"MRC", perm.MustNew(gf2.RandomMRC(rng, n, m), gf2.RandomVec(rng, n)), RunMRCPassOpt},
+			{"MLD", randomMLD(rng, n, b, m), RunMLDPassOpt},
+			{"MLD^-1", randomMLD(rng, n, b, m).Inverse(), RunMLDInversePassOpt},
+		}
+		for _, ps := range passes {
+			var first *pdm.Stats
+			for _, force := range []bool{true, false} {
+				for _, workers := range []int{1, 3, 7} {
+					what := fmt.Sprintf("%v %s record=%v workers=%d", cfg, ps.name, force, workers)
+					forceRecordKernel = force
+					sys := newLoaded(t, cfg)
+					err := ps.run(context.Background(), sys, ps.p, Options{Pipeline: true, Workers: workers})
+					forceRecordKernel = false
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					recs, err := sys.DumpRecords(sys.Source())
+					if err != nil {
+						t.Fatal(err)
+					}
+					for x := uint64(0); x < uint64(cfg.N); x++ {
+						if got, want := recs[ps.p.Apply(x)], pdm.MakeRecord(x); got != want {
+							t.Fatalf("%s: record %d landed wrong: address %d holds %+v", what, x, ps.p.Apply(x), got)
+						}
+					}
+					st := sys.Stats()
+					if first == nil {
+						first = &st
+					} else if !reflect.DeepEqual(st, *first) {
+						t.Fatalf("%s: Stats %+v differ from the first run's %+v", what, st, *first)
+					}
+				}
+			}
+		}
 	}
 }

@@ -99,8 +99,15 @@ func (st *invMLDStrategy) prepare(tml int) (loadPlan, error) {
 	clear(st.pFrameOf)
 	frameOf := st.pFrameOf                  // global source block -> frame
 	blockOf := make([]int, 0, cfg.Frames()) // frame -> global source block
+	invTab := st.invApplier.LowTable()
+	var xHi uint64
 	for j := 0; j < cfg.M; j++ {
-		x := st.invApplier.Apply(base | uint64(j))
+		// Incremental inverse map: one Apply per aligned 256-address chunk.
+		t := base | uint64(j)
+		if j == 0 || t&0xff == 0 {
+			xHi = st.invApplier.Apply(t &^ 0xff)
+		}
+		x := xHi ^ invTab[t&0xff]
 		sb := cfg.BlockIndex(x)
 		if _, seen := frameOf[sb]; seen {
 			continue
@@ -169,15 +176,31 @@ func (st *invMLDStrategy) scatter(tml int, plan loadPlan, in, out *pdm.Buffer, l
 		}
 		return nil, nil
 	}
+	// Per-record kernel, incremental: a frame's source addresses are
+	// consecutive, so each aligned 256-address chunk of it costs one Apply
+	// and then one table lookup and XOR per record (see
+	// perm.Compiled.LowTable). Every record's memoryload is folded into
+	// bad, so the escape check stays per record without a branch in the
+	// loop; a chunk that tripped it is rescanned for the report.
+	tab, m := st.applier.LowTable(), uint(cfg.LgM())
+	want := uint64(tml)
 	for f := lo; f < hi; f++ {
 		frame := in.Frame(f)
 		blockBase := uint64(blockOf[f]) << uint(b)
-		for off, r := range frame {
-			y := st.applier.Apply(blockBase | uint64(off))
-			if cfg.MemoryloadOf(y) != tml {
-				return nil, fmt.Errorf("engine: record %d escaped target memoryload %d", blockBase|uint64(off), tml)
+		for off := 0; off < len(frame); {
+			x := blockBase | uint64(off)
+			lo8 := int(x & 0xff)
+			n := min(len(frame)-off, 256-lo8)
+			yHi := st.applier.Apply(x &^ 0xff)
+			recs, low := frame[off:off+n], tab[lo8:lo8+n]
+			if bad := scatterChunk(dst, recs, low, yHi, mask, want, m); bad != 0 {
+				for j, t := range low {
+					if (yHi^t)>>m != want {
+						return nil, fmt.Errorf("engine: record %d escaped target memoryload %d", x+uint64(j), tml)
+					}
+				}
 			}
-			dst[y&mask] = r
+			off += n
 		}
 	}
 	return nil, nil

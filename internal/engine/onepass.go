@@ -92,14 +92,29 @@ func (st *mrcStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer, lo, hi i
 		}
 		return tml, nil
 	}
-	for i := lo; i < hi; i++ {
-		y := st.applier.Apply(base | uint64(i))
-		if l := cfg.MemoryloadOf(y); tml < 0 {
-			tml = l
-		} else if l != tml {
-			return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
+	// Per-record kernel, incremental: one Apply per aligned 256-address
+	// chunk, then one table lookup and XOR per record (see
+	// perm.Compiled.LowTable). Every record's target memoryload is folded
+	// into bad, so the check stays per record without a branch in the
+	// loop; a chunk that tripped it is rescanned for the report.
+	tab, m := st.applier.LowTable(), uint(cfg.LgM())
+	for i := lo; i < hi; {
+		x := base | uint64(i)
+		lo8 := int(x & 0xff)
+		n := min(hi-i, 256-lo8)
+		yHi := st.applier.Apply(x &^ 0xff)
+		recs, low := src[i:i+n], tab[lo8:lo8+n]
+		if tml < 0 {
+			tml = int((yHi ^ low[0]) >> m)
 		}
-		dst[y&mask] = src[i]
+		if bad := scatterChunk(dst, recs, low, yHi, mask, uint64(tml), m); bad != 0 {
+			for _, t := range low {
+				if l := int((yHi ^ t) >> m); l != tml {
+					return nil, fmt.Errorf("engine: MRC pass scattered memoryload %d across targets %d and %d", ml, tml, l)
+				}
+			}
+		}
+		i += n
 	}
 	return tml, nil
 }
@@ -233,17 +248,24 @@ func (st *mldStrategy) scatter(ml int, _ loadPlan, in, out *pdm.Buffer, lo, hi i
 		}
 		return sh, nil
 	}
-	for i := lo; i < hi; i++ {
-		y := st.applier.Apply(base | uint64(i))
-		r := cfg.RelBlock(y)
-		l := cfg.MemoryloadOf(y)
-		if sh.loadOf[r] < 0 {
-			sh.loadOf[r] = l
-		} else if sh.loadOf[r] != l {
-			return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", r, sh.loadOf[r], l)
+	// Per-record kernel, incremental as in the MRC pass. The output index
+	// r*B + Offset(y) is the low lg M bits of y, since RelBlock and Offset
+	// are adjacent bit fields. Property 2 is checked for every record; a
+	// violation leaves the loop and is reported after it.
+	tab := st.applier.LowTable()
+	b, m := uint(cfg.LgB()), uint(cfg.LgM())
+	mask, frameMask := uint64(cfg.M-1), uint64(cfg.Frames()-1)
+	fill, loadOf := sh.fill, sh.loadOf
+	for i := lo; i < hi; {
+		x := base | uint64(i)
+		lo8 := int(x & 0xff)
+		n := min(hi-i, 256-lo8)
+		yHi := st.applier.Apply(x &^ 0xff)
+		recs, low := src[i:i+n], tab[lo8:lo8+n]
+		if badR, badL := scatterChunkMLD(dst, recs, low, yHi, mask, frameMask, b, m, fill, loadOf); badR >= 0 {
+			return nil, fmt.Errorf("engine: MLD property 2 violated: relative block %d maps to memoryloads %d and %d", badR, loadOf[badR], badL)
 		}
-		dst[r*cfg.B+cfg.Offset(y)] = src[i]
-		sh.fill[r]++
+		i += n
 	}
 	return sh, nil
 }
@@ -315,6 +337,44 @@ func (st *mldStrategy) writes(ml int, _ loadPlan, shards []any) ([][]pdm.BlockIO
 		}
 	}
 	return ops, nil
+}
+
+// scatterChunk is the inner loop of the incremental per-record kernels:
+// record j of recs moves to dst[y & mask] for y = yHi ^ low[j], the image
+// of its source address. It returns the OR over all records of
+// (y >> m) ^ want, which is zero exactly when every record's memoryload is
+// want. Kept out of line so the loop runs in registers.
+func scatterChunk(dst, recs []pdm.Record, low []uint64, yHi, mask, want uint64, m uint) uint64 {
+	low = low[:len(recs)]
+	var bad uint64
+	for j, r := range recs {
+		y := yHi ^ low[j]
+		bad |= y>>(m&63) ^ want
+		dst[y&mask] = r
+	}
+	return bad
+}
+
+// scatterChunkMLD is scatterChunk for an MLD pass: it also counts each
+// relative block's records in fill and holds each block to one target
+// memoryload in loadOf (-1 until first seen). It stops at the first record
+// whose block already maps to another memoryload and returns that block
+// and the record's memoryload; badR is -1 when the chunk is clean.
+func scatterChunkMLD(dst, recs []pdm.Record, low []uint64, yHi, mask, frameMask uint64, b, m uint, fill, loadOf []int) (badR, badL int) {
+	low = low[:len(recs)]
+	for j, rec := range recs {
+		y := yHi ^ low[j]
+		r, l := int(y>>(b&63)&frameMask), int(y>>(m&63))
+		if loadOf[r] != l {
+			if loadOf[r] >= 0 {
+				return r, l
+			}
+			loadOf[r] = l
+		}
+		dst[y&mask] = rec
+		fill[r]++
+	}
+	return -1, 0
 }
 
 func checkGeometry(cfg pdm.Config, p perm.BMMC) error {

@@ -143,11 +143,16 @@ type passStrategy interface {
 func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options) error {
 	src, tgt := sys.Source(), sys.Target()
 	loads := st.loads()
+	// The pass's buffers come from the slab pool and go back to it on
+	// every return path, so a chain of passes reuses the same memoryloads
+	// instead of allocating (and zeroing) fresh ones per pass.
 	out := sys.AcquireBuffer()
+	defer sys.ReleaseBuffer(out)
 	opt.emit(st.kind(), st.kernel(), 0, loads)
 
 	if !opt.Pipeline {
 		in := sys.AcquireBuffer()
+		defer sys.ReleaseBuffer(in)
 		for ml := 0; ml < loads; ml++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -203,15 +208,17 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			}
 		}
 	}()
-	// abort unblocks and drains the reader before an early error return.
-	abort := func() {
+	// On every return path — success, error, cancellation — unblock the
+	// reader and drain it before its buffers go back to the pool.
+	defer func() {
 		close(stop)
 		for range ch {
 		}
-	}
+		sys.ReleaseBuffer(ins[0])
+		sys.ReleaseBuffer(ins[1])
+	}()
 	for ml := 0; ml < loads; ml++ {
 		if err := ctx.Err(); err != nil {
-			abort()
 			return err
 		}
 		f, ok := <-ch
@@ -219,11 +226,9 @@ func runPass(ctx context.Context, sys *pdm.System, st passStrategy, opt Options)
 			return fmt.Errorf("engine: prefetcher exited before load %d", ml)
 		}
 		if f.err != nil {
-			abort()
 			return f.err
 		}
 		if err := scatterAndWrite(sys, tgt, st, ml, f.plan, ins[ml&1], out, opt); err != nil {
-			abort()
 			return err
 		}
 		opt.emit(st.kind(), st.kernel(), ml+1, loads)

@@ -6,13 +6,17 @@ import (
 )
 
 // RangeXfer names one contiguous run of physical blocks moving to or from a
-// single disk: blocks [Block, Block+len(Data)/B) of disk Disk. Block
-// numbers are physical — the System resolves portion-relative positions
-// before calling the backend. A single-block transfer is a run of length 1.
+// single disk: blocks [Block, Block+len(Blocks)) of disk Disk, the k'th of
+// them to or from Blocks[k]. The vector has the shape of preadv/pwritev:
+// one B-record slice per block, in block order, anywhere in memory — so a
+// run's blocks can land straight in the buffer frames that hold them.
+// Block numbers are physical — the System resolves portion-relative
+// positions before calling the backend. A single-block transfer is a
+// one-element vector.
 type RangeXfer struct {
-	Disk  int
-	Block int
-	Data  []Record // a whole number of blocks, len(Data) % blockSize == 0
+	Disk   int
+	Block  int
+	Blocks [][]Record // len(Blocks) >= 1, len(Blocks[k]) == block size
 }
 
 // Backend abstracts the storage a System's D disks live on. Its one
@@ -28,7 +32,8 @@ type RangeXfer struct {
 // write. Concurrent calls never touch the same (disk, block) pair in
 // conflicting ways during a correctly synchronized pass, but they may touch
 // the same disk, so per-disk serialization is the backend's responsibility.
-// A backend must not retain a transfer's Data after the call returns.
+// A backend must not retain a transfer's Blocks, or any slice in them,
+// after the call returns.
 //
 // The System layered on top performs all model validation (one block per
 // disk per operation) and all cost accounting; a Backend only moves bytes,
@@ -37,9 +42,9 @@ type Backend interface {
 	// Open sizes the backend before any transfer: numDisks disks, each
 	// holding numBlocks blocks of blockSize records. Called exactly once.
 	Open(numDisks, numBlocks, blockSize int) error
-	// ReadBlockRanges fills each transfer's Data from its run of blocks.
+	// ReadBlockRanges fills each transfer's Blocks from its run of blocks.
 	ReadBlockRanges(xfers []RangeXfer) error
-	// WriteBlockRanges stores each transfer's Data at its run of blocks.
+	// WriteBlockRanges stores each transfer's Blocks at its run of blocks.
 	WriteBlockRanges(xfers []RangeXfer) error
 	// Sync flushes buffered writes to stable storage.
 	Sync() error
@@ -90,33 +95,45 @@ func (a *diskArray) open(numDisks, numBlocks, blockSize int) error {
 // SetConcurrent toggles per-disk goroutine dispatch within one batch.
 func (a *diskArray) SetConcurrent(on bool) { a.concurrent = on }
 
-// check rejects a run on a nonexistent disk, one that is not a positive
-// whole number of blocks, or one reaching past the end of the disk.
+// check rejects a run on a nonexistent disk, an empty vector, an element
+// that is not exactly one block, or a run reaching past the end of the
+// disk.
 func (a *diskArray) check(x RangeXfer) error {
 	if x.Disk < 0 || x.Disk >= len(a.mu) {
 		return fmt.Errorf("pdm: disk %d out of range [0,%d)", x.Disk, len(a.mu))
 	}
-	n := len(x.Data)
-	if n <= 0 || n%a.blockSize != 0 {
-		return fmt.Errorf("pdm: range of %d records is not a positive multiple of block size %d", n, a.blockSize)
+	if len(x.Blocks) == 0 {
+		return fmt.Errorf("pdm: empty block vector for disk %d block %d", x.Disk, x.Block)
 	}
-	if end := x.Block + n/a.blockSize; x.Block < 0 || end > a.numBlocks {
+	for k, blk := range x.Blocks {
+		if len(blk) != a.blockSize {
+			return fmt.Errorf("pdm: vector element %d holds %d records, want block size %d", k, len(blk), a.blockSize)
+		}
+	}
+	if end := x.Block + len(x.Blocks); x.Block < 0 || end > a.numBlocks {
 		return fmt.Errorf("pdm: block range [%d,%d) out of range [0,%d)", x.Block, end, a.numBlocks)
 	}
 	return nil
 }
 
-// each checks and runs one transfer per element under its disk's mutex,
+// runMover moves one checked run under its disk's mutex. The built-in
+// backends implement it on their pointer, so handing one to each costs
+// no allocation on the per-operation path.
+type runMover interface {
+	moveRun(kind IOKind, x RangeXfer) error
+}
+
+// each checks and moves one transfer per element under its disk's mutex,
 // sequentially or on one goroutine per transfer, and returns the first
 // error. A batch may repeat a disk (distinct runs); the mutex serializes
 // those.
-func (a *diskArray) each(xfers []RangeXfer, op func(RangeXfer) error) error {
+func (a *diskArray) each(kind IOKind, xfers []RangeXfer, mv runMover) error {
 	if a.mu == nil {
 		return fmt.Errorf("pdm: backend not opened")
 	}
 	if !a.concurrent || len(xfers) == 1 {
 		for _, x := range xfers {
-			if err := a.run(x, op); err != nil {
+			if err := a.run(kind, x, mv); err != nil {
 				return err
 			}
 		}
@@ -128,7 +145,7 @@ func (a *diskArray) each(xfers []RangeXfer, op func(RangeXfer) error) error {
 		wg.Add(1)
 		go func(i int, x RangeXfer) {
 			defer wg.Done()
-			errs[i] = a.run(x, op)
+			errs[i] = a.run(kind, x, mv)
 		}(i, x)
 	}
 	wg.Wait()
@@ -140,18 +157,18 @@ func (a *diskArray) each(xfers []RangeXfer, op func(RangeXfer) error) error {
 	return nil
 }
 
-// run checks one transfer and performs it under its disk's mutex.
-func (a *diskArray) run(x RangeXfer, op func(RangeXfer) error) error {
+// run checks one transfer and moves it under its disk's mutex.
+func (a *diskArray) run(kind IOKind, x RangeXfer, mv runMover) error {
 	if err := a.check(x); err != nil {
 		return err
 	}
 	a.mu[x.Disk].Lock()
 	defer a.mu[x.Disk].Unlock()
-	return op(x)
+	return mv.moveRun(kind, x)
 }
 
 // memBackend is the RAM storage backend: one in-memory block array per
-// disk, serving every run with one copy.
+// disk, serving every block of a run with one copy.
 type memBackend struct {
 	diskArray
 	data [][]Record
@@ -174,19 +191,24 @@ func (b *memBackend) Open(numDisks, numBlocks, blockSize int) error {
 }
 
 // ReadBlockRanges implements Backend.
-func (b *memBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	return b.each(xfers, func(x RangeXfer) error {
-		copy(x.Data, b.data[x.Disk][x.Block*b.blockSize:])
-		return nil
-	})
-}
+func (b *memBackend) ReadBlockRanges(xfers []RangeXfer) error { return b.each(IORead, xfers, b) }
 
 // WriteBlockRanges implements Backend.
-func (b *memBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	return b.each(xfers, func(x RangeXfer) error {
-		copy(b.data[x.Disk][x.Block*b.blockSize:], x.Data)
-		return nil
-	})
+func (b *memBackend) WriteBlockRanges(xfers []RangeXfer) error { return b.each(IOWrite, xfers, b) }
+
+// moveRun copies each block of the run directly between its frame and
+// the disk's array.
+func (b *memBackend) moveRun(kind IOKind, x RangeXfer) error {
+	bs := b.blockSize
+	disk := b.data[x.Disk][x.Block*bs : (x.Block+len(x.Blocks))*bs]
+	for k, blk := range x.Blocks {
+		if kind == IORead {
+			copy(blk, disk[k*bs:(k+1)*bs])
+		} else {
+			copy(disk[k*bs:(k+1)*bs], blk)
+		}
+	}
+	return nil
 }
 
 // BlockView implements BlockViewer: the view is the stored block itself.

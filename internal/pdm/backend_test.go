@@ -79,7 +79,7 @@ func TestBackendOpenOnce(t *testing.T) {
 func TestBackendUnopenedTransfer(t *testing.T) {
 	be := MemBackend()
 	buf := make([]Record, 4)
-	if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err == nil {
+	if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, 4)}}); err == nil {
 		t.Fatal("ReadBlocks before Open unexpectedly succeeded")
 	}
 }

@@ -11,16 +11,37 @@ package pdm
 // A Buffer is M records organized as M/B frames, mirroring the layout of
 // System.Mem(). Buffers are plain host memory: acquiring one is free and
 // does not touch the simulated disks or the I/O counters.
+//
+// A Buffer also owns the scratch its I/O is planned in — the transfer
+// batch, the block vectors pointing at its frames, and the grouped path's
+// per-disk regrouping — reused from call to call, so both the
+// per-operation and the grouped paths run allocation-free once warm. One
+// set suffices because a Buffer never serves two parallel I/Os at once
+// (its frames would race first).
 type Buffer struct {
 	b    int // records per frame (block size B)
 	recs []Record
-	xbuf []RangeXfer // per-buffer scratch for backend transfer batches
+
+	xbuf      []RangeXfer  // transfer batch handed to the backend
+	vecs      [][]Record   // backing of the batch's block vectors
+	perDisk   [][]rangeRef // grouped path: each disk's blocks, by physical block
+	frameSeen []bool       // grouped path: frames claimed by the group so far
 }
 
-// AcquireBuffer returns a fresh zeroed memoryload-sized buffer (M records,
-// M/B frames) compatible with the system's geometry.
+// AcquireBuffer returns a memoryload-sized buffer (M records, M/B frames)
+// compatible with the system's geometry. Its records come from the slab
+// pool and their contents are unspecified: every caller fills a frame —
+// by a parallel read, or by a scatter covering the whole load — before
+// reading it. Release it with ReleaseBuffer.
 func (s *System) AcquireBuffer() *Buffer {
-	return &Buffer{b: s.cfg.B, recs: make([]Record, s.cfg.M)}
+	return &Buffer{b: s.cfg.B, recs: AcquireSlab(s.cfg.M)}
+}
+
+// ReleaseBuffer returns buf's records to the slab pool. Neither buf nor
+// any slice obtained from it may be used afterwards.
+func (s *System) ReleaseBuffer(buf *Buffer) {
+	ReleaseSlab(buf.recs)
+	buf.recs = nil
 }
 
 // Records returns the buffer's backing slice of M records; frame f occupies
@@ -95,19 +116,27 @@ func (s *System) ParallelWriteFrom(p Portion, ios []BlockIO, buf *Buffer) error 
 
 // xfers resolves one validated parallel I/O into the one-block runs handed
 // to the storage backend: portion-relative positions become physical block
-// numbers, frame indices become record slices. The batch lives in the
-// buffer's scratch slice — safe because a Buffer never serves two parallel
-// I/Os concurrently (its frames would race first), and it keeps the
-// per-operation hot path allocation-free.
+// numbers, frame indices become one-element vectors over the frames. The
+// batch lives in the buffer's scratch.
 func (s *System) xfers(p Portion, ios []BlockIO, buf *Buffer) []RangeXfer {
-	if cap(buf.xbuf) < len(ios) {
-		buf.xbuf = make([]RangeXfer, s.cfg.D)
-	}
-	xs := buf.xbuf[:len(ios)]
+	xs, vecs := buf.scratch(s.cfg)
+	xs, vecs = xs[:len(ios)], vecs[:len(ios)]
 	for i, io := range ios {
-		xs[i] = RangeXfer{Disk: io.Disk, Block: s.physBlock(p, io.Block), Data: buf.Frame(io.Frame)}
+		vecs[i] = buf.Frame(io.Frame)
+		xs[i] = RangeXfer{Disk: io.Disk, Block: s.physBlock(p, io.Block), Blocks: vecs[i : i+1 : i+1]}
 	}
 	return xs
+}
+
+// scratch returns the buffer's transfer batch and vector backing, sized
+// on first use for the largest batch a group can issue: one run, and one
+// vector element, per frame.
+func (buf *Buffer) scratch(cfg Config) ([]RangeXfer, [][]Record) {
+	if buf.xbuf == nil {
+		buf.xbuf = make([]RangeXfer, cfg.Frames())
+		buf.vecs = make([][]Record, cfg.Frames())
+	}
+	return buf.xbuf, buf.vecs
 }
 
 // ReadStripeInto reads stripe `stripe` of portion p — one block from every

@@ -269,16 +269,13 @@ func (c *chaosState) Ops() int {
 	return c.ops
 }
 
-// chaosInner is the wrapped backend as the adversaries see it: the block
-// size captured at Open (to count a run's blocks), forwarding for
-// Sync/Close/SetConcurrent, and one-run transfers.
+// chaosInner is the wrapped backend as the adversaries see it:
+// forwarding for Open/Sync/Close/SetConcurrent, and one-run transfers.
 type chaosInner struct {
 	be Backend
-	bs int // block size, captured at Open
 }
 
 func (ci *chaosInner) open(numDisks, numBlocks, blockSize int) error {
-	ci.bs = blockSize
 	return ci.be.Open(numDisks, numBlocks, blockSize)
 }
 
@@ -295,9 +292,6 @@ func (ci *chaosInner) move(kind IOKind, x []RangeXfer) error {
 	}
 	return ci.be.ReadBlockRanges(x)
 }
-
-// blocks returns the number of blocks a run covers.
-func (ci *chaosInner) blocks(x RangeXfer) int { return len(x.Data) / ci.bs }
 
 // ---------------------------------------------------------------------------
 // FlakyBackend
@@ -416,7 +410,7 @@ func (f *FlakyBackend) WriteBlockRanges(xfers []RangeXfer) error {
 
 func (f *FlakyBackend) transfer(kind IOKind, xfers []RangeXfer) error {
 	for i, x := range xfers {
-		if err := f.inject(kind, x.Disk, x.Block, f.inner.blocks(x)); err != nil {
+		if err := f.inject(kind, x.Disk, x.Block, len(x.Blocks)); err != nil {
 			return err
 		}
 		if err := f.inner.move(kind, xfers[i:i+1]); err != nil {
@@ -651,7 +645,7 @@ func (l *LatencyBackend) WriteBlockRanges(xfers []RangeXfer) error {
 
 func (l *LatencyBackend) transfer(kind IOKind, xfers []RangeXfer) error {
 	return l.each(len(xfers), func(i int) error {
-		l.delay(kind, xfers[i].Disk, xfers[i].Block, l.inner.blocks(xfers[i]))
+		l.delay(kind, xfers[i].Disk, xfers[i].Block, len(xfers[i].Blocks))
 		return l.inner.move(kind, xfers[i:i+1])
 	})
 }
@@ -691,7 +685,8 @@ type TornOptions struct {
 }
 
 // TornBackend tears coalesced range transfers midway: a torn k-block
-// range moves only its first 1..k-1 blocks (the tear point is seeded),
+// range moves only a prefix of its vector, the first 1..k-1 blocks (the
+// tear point is seeded),
 // then fails with a wrapped ErrInjectedFault. Single-block runs are
 // never torn — blocks land atomically, exactly the failure surface the
 // grouped parallel-I/O path must survive: per-wave accounting must not
@@ -752,7 +747,7 @@ func (tb *TornBackend) transfer(kind IOKind, xfers []RangeXfer) error {
 		cut, err := tb.tear(kind, x)
 		if err == nil {
 			err = tb.inner.move(kind, xfers[i:i+1])
-		} else if merr := tb.inner.move(kind, []RangeXfer{{Disk: x.Disk, Block: x.Block, Data: x.Data[:cut*tb.inner.bs]}}); merr != nil {
+		} else if merr := tb.inner.move(kind, []RangeXfer{{Disk: x.Disk, Block: x.Block, Blocks: x.Blocks[:cut]}}); merr != nil {
 			err = merr
 		}
 		if err != nil {
@@ -766,7 +761,7 @@ func (tb *TornBackend) transfer(kind IOKind, xfers []RangeXfer) error {
 // its leading blocks still land (1..blocks-1) and the injected fault; a
 // whole run reports a nil error.
 func (tb *TornBackend) tear(kind IOKind, x RangeXfer) (int, error) {
-	blocks := tb.inner.blocks(x)
+	blocks := len(x.Blocks)
 	op, visit, armed := tb.st.next(kind, x.Disk, x.Block)
 	if !armed {
 		return 0, nil

@@ -40,7 +40,7 @@ func chaosFill(t *testing.T, be Backend) {
 			for i := range data {
 				data[i] = chaosRec(disk, block, i)
 			}
-			if err := be.WriteBlockRanges([]RangeXfer{{Disk: disk, Block: block, Data: data}}); err != nil {
+			if err := be.WriteBlockRanges([]RangeXfer{{Disk: disk, Block: block, Blocks: vec(data, chaosBS)}}); err != nil {
 				t.Fatalf("fill disk %d block %d: %v", disk, block, err)
 			}
 		}
@@ -64,17 +64,17 @@ func chaosScript(be Backend) []string {
 			for i := range buf {
 				buf[i] = chaosRec(disk, block, i)
 			}
-			note(be.WriteBlockRanges([]RangeXfer{{Disk: disk, Block: block, Data: buf}}))
+			note(be.WriteBlockRanges([]RangeXfer{{Disk: disk, Block: block, Blocks: vec(buf, chaosBS)}}))
 		}
 	}
 	for block := 0; block < chaosBlocks; block++ {
 		for disk := 0; disk < chaosDisks; disk++ {
-			note(be.ReadBlockRanges([]RangeXfer{{Disk: disk, Block: block, Data: buf}}))
+			note(be.ReadBlockRanges([]RangeXfer{{Disk: disk, Block: block, Blocks: vec(buf, chaosBS)}}))
 		}
 	}
 	span := make([]Record, 4*chaosBS)
 	for disk := 0; disk < chaosDisks; disk++ {
-		note(be.ReadBlockRanges([]RangeXfer{{Disk: disk, Block: 2, Data: span}}))
+		note(be.ReadBlockRanges([]RangeXfer{{Disk: disk, Block: 2, Blocks: vec(span, chaosBS)}}))
 	}
 	return errs
 }
@@ -85,7 +85,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 		chaosOpen(t, fb)
 		buf := make([]Record, chaosBS)
 		for op := 0; op < 4; op++ {
-			err := fb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: op % chaosBlocks, Data: buf}})
+			err := fb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: op % chaosBlocks, Blocks: vec(buf, chaosBS)}})
 			if op < 2 && err != nil {
 				t.Fatalf("op %d before the window: %v", op, err)
 			}
@@ -106,7 +106,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 		chaosOpen(t, fb)
 		buf := make([]Record, chaosBS)
 		for op := 0; op < 8; op++ {
-			err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}})
+			err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}})
 			inWindow := op == 3 || op == 4
 			if inWindow && !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("op %d: want injected fault, got %v", op, err)
@@ -130,8 +130,8 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 			fb := NewFlakyBackend(MemBackend(), FlakyOptions{FailAfterN: 1, Mode: tc.mode})
 			chaosOpen(t, fb)
 			buf := make([]Record, chaosBS)
-			werr := fb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}})
-			rerr := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}})
+			werr := fb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}})
+			rerr := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}})
 			if got := errors.Is(rerr, ErrInjectedFault); got != tc.readFails {
 				t.Errorf("mode %v: read fault = %v, want %v", tc.mode, got, tc.readFails)
 			}
@@ -152,7 +152,7 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 		}
 		fb.Arm()
 		buf := make([]Record, chaosBS)
-		if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+		if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}}); !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("armed op: want injected fault, got %v", err)
 		}
 	})
@@ -169,15 +169,15 @@ func TestChaosFlakyBackendModes(t *testing.T) {
 			data1[i] = chaosRec(1, 0, i)
 		}
 		err := fb.WriteBlockRanges([]RangeXfer{
-			{Disk: 0, Block: 0, Data: data0},
-			{Disk: 1, Block: 0, Data: data1},
+			{Disk: 0, Block: 0, Blocks: vec(data0, chaosBS)},
+			{Disk: 1, Block: 0, Blocks: vec(data1, chaosBS)},
 		})
 		if !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("want injected fault, got %v", err)
 		}
 		fb.Disarm()
 		got := make([]Record, chaosBS)
-		if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: got}}); err != nil {
+		if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(got, chaosBS)}}); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, data0) {
@@ -199,7 +199,7 @@ func TestChaosTornRange(t *testing.T) {
 		for i := range span {
 			span[i] = Record{Key: 0xbeef00 + uint64(i), Tag: 1}
 		}
-		err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 1, Data: span}})
+		err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 1, Blocks: vec(span, chaosBS)}})
 		if !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("want torn-range fault, got %v", err)
 		}
@@ -211,7 +211,7 @@ func TestChaosTornRange(t *testing.T) {
 		tb.Disarm()
 		got := make([]Record, chaosBS)
 		for b := 0; b < 4; b++ {
-			if err := tb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 1 + b, Data: got}}); err != nil {
+			if err := tb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 1 + b, Blocks: vec(got, chaosBS)}}); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range got {
@@ -239,7 +239,7 @@ func TestChaosTornRange(t *testing.T) {
 		for i := range span {
 			span[i] = sentinel
 		}
-		err := tb.ReadBlockRanges([]RangeXfer{{Disk: 1, Block: 2, Data: span}})
+		err := tb.ReadBlockRanges([]RangeXfer{{Disk: 1, Block: 2, Blocks: vec(span, chaosBS)}})
 		if !errors.Is(err, ErrInjectedFault) {
 			t.Fatalf("want torn-range fault, got %v", err)
 		}
@@ -263,11 +263,11 @@ func TestChaosTornRange(t *testing.T) {
 		chaosOpen(t, tb)
 		buf := make([]Record, chaosBS)
 		for i := 0; i < 8; i++ {
-			if err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: i, Data: buf}}); err != nil {
+			if err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: i, Blocks: vec(buf, chaosBS)}}); err != nil {
 				t.Fatalf("single-block range %d torn: %v", i, err)
 			}
 		}
-		if err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}, {Disk: 1, Block: 0, Data: buf}}); err != nil {
+		if err := tb.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}, {Disk: 1, Block: 0, Blocks: vec(buf, chaosBS)}}); err != nil {
 			t.Fatalf("one-block runs of a parallel write torn: %v", err)
 		}
 	})
@@ -351,7 +351,7 @@ func TestChaosFaultyBackendComposes(t *testing.T) {
 	// The wrapper forwards multi-block runs to the sharded backend as-is —
 	// grouped I/O stays grouped under injection.
 	span := make([]Record, 3*chaosBS)
-	if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 1, Block: 2, Data: span}}); err != nil {
+	if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 1, Block: 2, Blocks: vec(span, chaosBS)}}); err != nil {
 		t.Fatalf("range read through faulty wrapper: %v", err)
 	}
 	for b := 0; b < 3; b++ {
@@ -365,7 +365,7 @@ func TestChaosFaultyBackendComposes(t *testing.T) {
 	// failAfter 0 faults the very first operation.
 	fb2 := NewFaultyBackend(MemBackend(), 0)
 	chaosOpen(t, fb2)
-	if err := fb2.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: span[:chaosBS]}}); !errors.Is(err, ErrInjectedFault) {
+	if err := fb2.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(span[:chaosBS], chaosBS)}}); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("failAfter=0: want immediate fault, got %v", err)
 	}
 }
@@ -393,7 +393,7 @@ func TestChaosLatencyBackend(t *testing.T) {
 	timeDisk := func(disk int) time.Duration {
 		start := time.Now()
 		for block := 0; block < chaosBlocks; block++ {
-			if err := lb.ReadBlockRanges([]RangeXfer{{Disk: disk, Block: block, Data: got}}); err != nil {
+			if err := lb.ReadBlockRanges([]RangeXfer{{Disk: disk, Block: block, Blocks: vec(got, chaosBS)}}); err != nil {
 				t.Fatal(err)
 			}
 			for i, g := range got {
@@ -432,13 +432,13 @@ func TestChaosFileMmapPaths(t *testing.T) {
 			chaosOpen(t, fb)
 			chaosFill(t, fb) // exactly 16 ops (2 disks x 8 blocks), all clean
 			buf := make([]Record, chaosBS)
-			if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+			if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}}); !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("op 17: want injected fault, got %v", err)
 			}
-			if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+			if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}}); !errors.Is(err, ErrInjectedFault) {
 				t.Fatalf("op 18: want injected fault, got %v", err)
 			}
-			if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
+			if err := fb.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: vec(buf, chaosBS)}}); err != nil {
 				t.Fatalf("op 19 after recovery: %v", err)
 			}
 			for i, g := range buf {

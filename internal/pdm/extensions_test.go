@@ -36,11 +36,11 @@ func TestFlakyBackendThreshold(t *testing.T) {
 	defer d.Close()
 	buf := make([]Record, 4)
 	for i := 0; i < 3; i++ {
-		if err := d.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
+		if err := d.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: [][]Record{buf}}}); err != nil {
 			t.Fatalf("op %d failed before threshold: %v", i, err)
 		}
 	}
-	if err := d.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+	if err := d.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: [][]Record{buf}}}); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("op 3 did not fault: %v", err)
 	}
 	if d.Ops() != 4 {
@@ -52,10 +52,10 @@ func TestFlakyBackendThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if err := d2.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); err != nil {
+	if err := d2.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: [][]Record{buf}}}); err != nil {
 		t.Errorf("write failed with read-only faults: %v", err)
 	}
-	if err := d2.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Data: buf}}); !errors.Is(err, ErrInjectedFault) {
+	if err := d2.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 0, Blocks: [][]Record{buf}}}); !errors.Is(err, ErrInjectedFault) {
 		t.Error("read did not fault")
 	}
 }
@@ -153,7 +153,7 @@ func TestConcurrentFaultPropagation(t *testing.T) {
 	be.(concurrentSetter).SetConcurrent(true)
 	xfers := make([]RangeXfer, cfg.D)
 	for d := range xfers {
-		xfers[d] = RangeXfer{Disk: d, Block: 0, Data: make([]Record, cfg.B)}
+		xfers[d] = RangeXfer{Disk: d, Block: 0, Blocks: [][]Record{make([]Record, cfg.B)}}
 	}
 	xfers[1].Block = 4 // past the end of the disk
 	if err := be.ReadBlockRanges(xfers); err == nil {

@@ -14,15 +14,17 @@ import (
 // latency.
 //
 // On 64-bit little-endian unix hosts each file is additionally served
-// through a shared memory mapping: every run is a plain memcpy against the
-// mapping's record view, with no syscall at all on the hot path — the
-// kernel's page cache holds the same pages a pread/pwrite implementation
-// would populate, and the file's bytes are identical. Where the mapping is
-// unavailable, every run moves as one ReadAt/WriteAt over the caller's
-// record slab on little-endian hosts (no per-record encode/decode), and
-// block by block through a per-disk scratch conversion buffer on the
-// portable fallback. All paths produce byte-identical files (the wire
-// format is pinned by the slab-view tests).
+// through a shared memory mapping: every block of a run is a plain memcpy
+// between its frame and the mapping's record view, with no syscall at all
+// on the hot path — the kernel's page cache holds the same pages a
+// pread/pwrite implementation would populate, and the file's bytes are
+// identical. Where the mapping is unavailable, every run moves as one
+// ReadAt/WriteAt on little-endian hosts (no per-record encode/decode):
+// straight over the caller's records when the vector's blocks sit back to
+// back in memory, through a per-disk scratch span otherwise. The portable
+// fallback moves block by block through a per-disk conversion buffer. All
+// paths produce byte-identical files (the wire format is pinned by the
+// slab-view tests).
 type fileBackend struct {
 	diskArray
 	dirs  []string
@@ -31,10 +33,11 @@ type fileBackend struct {
 
 // diskFile is one disk's file and, when mapped, its record view.
 type diskFile struct {
-	f      *os.File
-	buf    []byte   // scratch conversion buffer, portable path only
-	raw    []byte   // shared mapping of the whole file, nil without mmap
-	mapped []Record // record view of raw
+	f       *os.File
+	buf     []byte   // one block's wire bytes, portable path only
+	scratch []Record // staging for a run whose blocks are not adjacent in memory, pread/pwrite path only
+	raw     []byte   // shared mapping of the whole file, nil without mmap
+	mapped  []Record // record view of raw
 }
 
 // fileDiskMmap gates the mapped fast path; tests clear it to pin the
@@ -118,57 +121,98 @@ func openDiskFile(path string, size int64, blockSize int) (*diskFile, error) {
 }
 
 // ReadBlockRanges implements Backend: on slab-view hosts the whole run of
-// consecutive blocks arrives in one ReadAt (or one copy out of the
-// mapping) — this is the syscall batching the grouped parallel-I/O path
-// exists for. The portable path converts block by block.
-func (b *fileBackend) ReadBlockRanges(xfers []RangeXfer) error {
-	return b.each(xfers, func(x RangeXfer) error {
-		d, bs := b.disks[x.Disk], b.blockSize
-		if d.mapped != nil {
-			copy(x.Data, d.mapped[x.Block*bs:])
-			return nil
-		}
-		off := int64(x.Block) * int64(bs) * RecordBytes
-		if RecordSlabViews {
-			if _, err := d.f.ReadAt(RecordsToBytes(x.Data), off); err != nil {
-				return fmt.Errorf("pdm: read blocks [%d,%d): %w", x.Block, x.Block+len(x.Data)/bs, err)
-			}
-			return nil
-		}
-		for i := 0; i*bs < len(x.Data); i++ {
-			if _, err := d.f.ReadAt(d.buf, off+int64(len(d.buf)*i)); err != nil {
-				return fmt.Errorf("pdm: read block %d: %w", x.Block+i, err)
-			}
-			DecodeRecords(x.Data[i*bs:(i+1)*bs], d.buf)
-		}
-		return nil
-	})
-}
+// consecutive blocks arrives in one ReadAt (or one copy per block out of
+// the mapping) — this is the syscall batching the grouped parallel-I/O
+// path exists for. The portable path converts block by block.
+func (b *fileBackend) ReadBlockRanges(xfers []RangeXfer) error { return b.each(IORead, xfers, b) }
 
 // WriteBlockRanges implements Backend (see ReadBlockRanges); on slab-view
-// hosts the record slab is handed to WriteAt as-is.
-func (b *fileBackend) WriteBlockRanges(xfers []RangeXfer) error {
-	return b.each(xfers, func(x RangeXfer) error {
-		d, bs := b.disks[x.Disk], b.blockSize
-		if d.mapped != nil {
-			copy(d.mapped[x.Block*bs:x.Block*bs+len(x.Data)], x.Data)
-			return nil
-		}
-		off := int64(x.Block) * int64(bs) * RecordBytes
-		if RecordSlabViews {
-			if _, err := d.f.WriteAt(RecordsToBytes(x.Data), off); err != nil {
-				return fmt.Errorf("pdm: write blocks [%d,%d): %w", x.Block, x.Block+len(x.Data)/bs, err)
-			}
-			return nil
-		}
-		for i := 0; i*bs < len(x.Data); i++ {
-			EncodeRecords(d.buf, x.Data[i*bs:(i+1)*bs])
-			if _, err := d.f.WriteAt(d.buf, off+int64(len(d.buf)*i)); err != nil {
-				return fmt.Errorf("pdm: write block %d: %w", x.Block+i, err)
+// hosts the records are handed to WriteAt as-is.
+func (b *fileBackend) WriteBlockRanges(xfers []RangeXfer) error { return b.each(IOWrite, xfers, b) }
+
+// moveRun moves one checked run of x.Disk's file.
+func (b *fileBackend) moveRun(kind IOKind, x RangeXfer) error {
+	d, bs := b.disks[x.Disk], b.blockSize
+	if d.mapped != nil {
+		disk := d.mapped[x.Block*bs : (x.Block+len(x.Blocks))*bs]
+		for k, blk := range x.Blocks {
+			if kind == IORead {
+				copy(blk, disk[k*bs:(k+1)*bs])
+			} else {
+				copy(disk[k*bs:(k+1)*bs], blk)
 			}
 		}
 		return nil
-	})
+	}
+	off := int64(x.Block) * int64(bs) * RecordBytes
+	if RecordSlabViews {
+		return d.moveSpan(kind, x, off, bs)
+	}
+	for k, blk := range x.Blocks {
+		boff := off + int64(len(d.buf)*k)
+		if kind == IORead {
+			if _, err := d.f.ReadAt(d.buf, boff); err != nil {
+				return fmt.Errorf("pdm: read block %d: %w", x.Block+k, err)
+			}
+			DecodeRecords(blk, d.buf)
+			continue
+		}
+		EncodeRecords(d.buf, blk)
+		if _, err := d.f.WriteAt(d.buf, boff); err != nil {
+			return fmt.Errorf("pdm: write block %d: %w", x.Block+k, err)
+		}
+	}
+	return nil
+}
+
+// moveSpan moves a run with one ReadAt or WriteAt at byte offset off:
+// directly over the caller's records when the blocks are adjacent in
+// memory, through the disk's scratch span otherwise.
+func (d *diskFile) moveSpan(kind IOKind, x RangeXfer, off int64, bs int) error {
+	span, direct := adjacent(x.Blocks, bs)
+	if !direct {
+		n := len(x.Blocks) * bs
+		if cap(d.scratch) < n {
+			d.scratch = make([]Record, n)
+		}
+		span = d.scratch[:n]
+		if kind == IOWrite {
+			for k, blk := range x.Blocks {
+				copy(span[k*bs:(k+1)*bs], blk)
+			}
+		}
+	}
+	if kind == IOWrite {
+		if _, err := d.f.WriteAt(RecordsToBytes(span), off); err != nil {
+			return fmt.Errorf("pdm: write blocks [%d,%d): %w", x.Block, x.Block+len(x.Blocks), err)
+		}
+		return nil
+	}
+	if _, err := d.f.ReadAt(RecordsToBytes(span), off); err != nil {
+		return fmt.Errorf("pdm: read blocks [%d,%d): %w", x.Block, x.Block+len(x.Blocks), err)
+	}
+	if !direct {
+		for k, blk := range x.Blocks {
+			copy(blk, span[k*bs:(k+1)*bs])
+		}
+	}
+	return nil
+}
+
+// adjacent returns a vector's blocks as one slice when they sit back to
+// back in memory, in block order — always so for a one-block vector.
+func adjacent(blocks [][]Record, bs int) ([]Record, bool) {
+	n := len(blocks) * bs
+	if cap(blocks[0]) < n {
+		return nil, false
+	}
+	span := blocks[0][:n]
+	for k := 1; k < len(blocks); k++ {
+		if &span[k*bs] != &blocks[k][0] {
+			return nil, false
+		}
+	}
+	return span, true
 }
 
 // BlockView implements BlockViewer on mapped disks: bulk readers

@@ -1,6 +1,9 @@
 package pdm
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Grouped parallel I/O: the engine's pass runner knows a whole memoryload's
 // operations at once (the M/BD striped reads of a load, or an MLD pass's
@@ -8,7 +11,9 @@ import "sort"
 // hands the group to the System, which regroups the blocks per disk,
 // coalesces runs of consecutive physical blocks, and moves each run through
 // one backend range transfer — a single pread/pwrite on file-backed disks
-// instead of one syscall per block.
+// instead of one syscall per block. A run's block vector points straight at
+// the buffer frames its operations address, so the records move between
+// storage and frames with no copy in between.
 //
 // Grouping is strictly a wall-clock optimization, like pipelining and
 // worker sharding: the model's accounting is byte-identical to issuing the
@@ -21,19 +26,22 @@ import "sort"
 // Error paths match the loop too: when a coalesced range transfer fails —
 // a flaky disk, a torn range that moved only a prefix — the group degrades
 // to the one-at-a-time reference path and replays the whole group from
-// scratch. Reads are idempotent and writes re-send the same bytes from the
-// unchanged buffer frames, so the replay is safe; it counts exactly the
-// waves that complete before its own failure (no double-count — the failed
-// batched attempt counted nothing) and lets transient faults that spare
-// the per-block path recover entirely. Validation errors surface before
-// any transfer and count nothing, same as the loop's up-front validation
-// of its first wave would abort it.
+// scratch. Reads are idempotent and every replayed block overwrites its
+// frame whole, whatever the failed attempt left there; writes re-send the
+// same bytes from the unchanged buffer frames. So the replay is safe; it
+// counts exactly the waves that complete before its own failure (no
+// double-count — the failed batched attempt counted nothing) and lets
+// transient faults that spare the per-block path recover entirely.
+// Validation errors surface before any transfer and count nothing, same as
+// the loop's up-front validation of its first wave would abort it.
 
 // rangeRef locates one block of a grouped parallel I/O: its physical block
 // number on its disk, and the buffer frame it moves to or from.
 type rangeRef struct {
 	phys, frame int
 }
+
+func byPhys(a, b rangeRef) int { return cmp.Compare(a.phys, b.phys) }
 
 // ParallelReadGroup performs the given sequence of parallel reads into buf,
 // equivalent in records, counts, and trace to calling ParallelReadInto on
@@ -45,33 +53,21 @@ func (s *System) ParallelReadGroup(p Portion, group [][]BlockIO, buf *Buffer) er
 	if len(group) <= 1 {
 		return s.readGroupLoop(p, group, buf)
 	}
-	perDisk, total, err := s.groupRuns(p, group, false)
+	ok, err := s.groupRuns(p, group, false, buf)
 	if err != nil {
 		return err
 	}
-	if perDisk == nil {
+	if !ok {
 		return s.readGroupLoop(p, group, buf)
 	}
-	bs := s.cfg.B
-	slab := AcquireSlab(total * bs)
-	xfers, runs := buildRuns(perDisk, slab, bs, buf)
-	if err := s.be.ReadBlockRanges(xfers); err != nil {
-		// The batched transfer failed partway; nothing was counted. Replay
-		// the group through the per-block reference path: reads are
-		// idempotent, so the replay either completes (transient fault) or
-		// stops at a wave boundary with exactly the completed waves counted.
-		ReleaseSlab(slab)
+	if err := s.be.ReadBlockRanges(s.buildRuns(buf)); err != nil {
+		// The batched transfer failed partway; nothing was counted, and
+		// some frames may hold a torn prefix. Replay the group through the
+		// per-block reference path: it rewrites every frame whole and
+		// either completes (transient fault) or stops at a wave boundary
+		// with exactly the completed waves counted.
 		return s.readGroupLoop(p, group, buf)
 	}
-	// Scatter each multi-block run from its scratch span to the frames the
-	// individual operations addressed. Single-block runs already landed in
-	// their frame directly.
-	for _, r := range runs {
-		for k, ref := range r.refs {
-			copy(buf.Frame(ref.frame), r.data[k*bs:(k+1)*bs])
-		}
-	}
-	ReleaseSlab(slab)
 	s.accountGroup(IORead, p, group)
 	return nil
 }
@@ -87,26 +83,14 @@ func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) e
 	if len(group) <= 1 {
 		return s.writeGroupLoop(p, group, buf)
 	}
-	perDisk, total, err := s.groupRuns(p, group, true)
+	ok, err := s.groupRuns(p, group, true, buf)
 	if err != nil {
 		return err
 	}
-	if perDisk == nil {
+	if !ok {
 		return s.writeGroupLoop(p, group, buf)
 	}
-	bs := s.cfg.B
-	slab := AcquireSlab(total * bs)
-	xfers, runs := buildRuns(perDisk, slab, bs, buf)
-	// Gather each multi-block run's frames into its scratch span before the
-	// batched write; single-block runs write from their frame directly.
-	for _, r := range runs {
-		for k, ref := range r.refs {
-			copy(r.data[k*bs:(k+1)*bs], buf.Frame(ref.frame))
-		}
-	}
-	err = s.be.WriteBlockRanges(xfers)
-	ReleaseSlab(slab)
-	if err != nil {
+	if err := s.be.WriteBlockRanges(s.buildRuns(buf)); err != nil {
 		// The batched transfer failed partway (possibly mid-range); nothing
 		// was counted. Replay through the per-block reference path, which
 		// re-sends the same bytes from the unchanged buffer frames: every
@@ -118,75 +102,77 @@ func (s *System) ParallelWriteGroup(p Portion, group [][]BlockIO, buf *Buffer) e
 }
 
 // groupRuns validates every operation of the group and regroups its blocks
-// per disk, sorted by physical block. A nil slice with a nil error reports
-// a hazard the caller must serve with the one-at-a-time fallback: a frame
-// reused across operations, or (for writes) a block written more than once,
-// both of which make the group's outcome depend on operation order.
-func (s *System) groupRuns(p Portion, group [][]BlockIO, write bool) ([][]rangeRef, int, error) {
-	total := 0
+// into buf.perDisk, each disk's sorted by physical block. false with a nil
+// error reports a hazard the caller must serve with the one-at-a-time
+// fallback: a frame reused across operations, or (for writes) a block
+// written more than once, both of which make the group's outcome depend on
+// operation order.
+func (s *System) groupRuns(p Portion, group [][]BlockIO, write bool, buf *Buffer) (bool, error) {
 	for _, ios := range group {
 		if err := s.validate(p, ios); err != nil {
-			return nil, 0, err
+			return false, err
 		}
-		total += len(ios)
 	}
-	perDisk := make([][]rangeRef, s.cfg.D)
-	frameSeen := make([]bool, s.cfg.Frames())
+	if buf.perDisk == nil {
+		buf.perDisk = make([][]rangeRef, s.cfg.D)
+		buf.frameSeen = make([]bool, s.cfg.Frames())
+	}
+	perDisk, seen := buf.perDisk, buf.frameSeen
+	for d := range perDisk {
+		perDisk[d] = perDisk[d][:0]
+	}
+	clear(seen)
 	for _, ios := range group {
 		for _, io := range ios {
-			if frameSeen[io.Frame] {
-				return nil, 0, nil
+			if seen[io.Frame] {
+				return false, nil
 			}
-			frameSeen[io.Frame] = true
+			seen[io.Frame] = true
 			perDisk[io.Disk] = append(perDisk[io.Disk], rangeRef{phys: s.physBlock(p, io.Block), frame: io.Frame})
 		}
 	}
 	for _, refs := range perDisk {
-		sort.Slice(refs, func(i, j int) bool { return refs[i].phys < refs[j].phys })
+		// Striped groups arrive in block order already; only scattered
+		// ones (independent MLD writes, inverse-MLD reads) need the sort.
+		if !slices.IsSortedFunc(refs, byPhys) {
+			slices.SortFunc(refs, byPhys)
+		}
 		if write {
 			for i := 1; i < len(refs); i++ {
 				if refs[i].phys == refs[i-1].phys {
-					return nil, 0, nil
+					return false, nil
 				}
 			}
 		}
 	}
-	return perDisk, total, nil
+	return true, nil
 }
 
-// groupRun is one coalesced multi-block run: the operations' refs in block
-// order and the contiguous scratch span standing in for their frames.
-type groupRun struct {
-	refs []rangeRef
-	data []Record
-}
-
-// buildRuns walks each disk's sorted refs and splits them into runs of
-// consecutive physical blocks. Multi-block runs are backed by disjoint
-// spans of slab and returned for the caller's gather/scatter copies;
-// single-block runs transfer directly against their buffer frame.
-func buildRuns(perDisk [][]rangeRef, slab []Record, bs int, buf *Buffer) ([]RangeXfer, []groupRun) {
-	xfers := make([]RangeXfer, 0, len(perDisk))
-	var runs []groupRun
-	used := 0
-	for disk, refs := range perDisk {
+// buildRuns walks each disk's sorted blocks in buf.perDisk and splits them
+// into runs of consecutive physical blocks, one transfer per run with a
+// vector over the blocks' frames. The batch lives in the buffer's scratch:
+// the group's frames are distinct, so it never holds more than one vector
+// element, or one run, per frame.
+func (s *System) buildRuns(buf *Buffer) []RangeXfer {
+	xs, vecs := buf.scratch(s.cfg)
+	nx, nv := 0, 0
+	for disk, refs := range buf.perDisk {
 		for i := 0; i < len(refs); {
 			j := i + 1
 			for j < len(refs) && refs[j].phys == refs[j-1].phys+1 {
 				j++
 			}
-			n := j - i
-			data := buf.Frame(refs[i].frame)
-			if n > 1 {
-				data = slab[used*bs : (used+n)*bs]
-				used += n
-				runs = append(runs, groupRun{refs: refs[i:j], data: data})
+			v := vecs[nv : nv+j-i : nv+j-i]
+			for k := range v {
+				v[k] = buf.Frame(refs[i+k].frame)
 			}
-			xfers = append(xfers, RangeXfer{Disk: disk, Block: refs[i].phys, Data: data})
+			xs[nx] = RangeXfer{Disk: disk, Block: refs[i].phys, Blocks: v}
+			nx++
+			nv += j - i
 			i = j
 		}
 	}
-	return xfers, runs
+	return xs[:nx]
 }
 
 // accountGroup counts and traces the group's operations in order, exactly

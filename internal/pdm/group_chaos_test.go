@@ -222,3 +222,47 @@ func TestChaosGroupTransientRangeFaultRecovers(t *testing.T) {
 		}
 	})
 }
+
+// TestChaosGroupTornReadReplayOverwritesFrames pins the degrade-and-replay
+// invariant for reads that land straight in the buffer frames: a torn
+// range leaves some frames filled by its prefix and the rest untouched,
+// and the per-block replay must overwrite every frame of the group whole.
+// The frames start poisoned, so a frame the replay skipped, or filled only
+// in part, shows.
+func TestChaosGroupTornReadReplayOverwritesFrames(t *testing.T) {
+	for _, tearNth := range []int{1, 2, 4} { // first, second and last disk's range
+		log := &ChaosLog{}
+		tb := NewTornBackend(MemBackend(), TornOptions{Seed: 5, TearNth: tearNth, Mode: FaultReadOnly, Log: log})
+		tb.Disarm()
+		sys := newChaosGroupSystem(t, tb, tb.Disarm, func() {
+			tb.Reset()
+			tb.Arm()
+		})
+		buf := sys.AcquireBuffer()
+		poison := Record{Key: 0xdeadbeef, Tag: 0xdeadbeef}
+		for i := range buf.Records() {
+			buf.Records()[i] = poison
+		}
+		trace := (&Trace{}).Attach(sys)
+		group := chaosGroup(chaosGroupCfg)
+		if err := sys.ParallelReadGroup(PortionA, group, buf); err != nil {
+			t.Fatalf("tear %d: torn range read did not recover via replay: %v", tearNth, err)
+		}
+		if torn := log.Faults(); len(torn) != 1 {
+			t.Fatalf("tear %d: want exactly one torn range, got %v", tearNth, torn)
+		}
+		waves := chaosGroupCfg.StripesPerMemoryload()
+		assertWaves(t, sys, trace, IORead, waves)
+		for w := 0; w < waves; w++ {
+			for d := 0; d < chaosGroupCfg.D; d++ {
+				base := chaosGroupCfg.Addr(w, d, 0)
+				for i, got := range buf.Frame(w*chaosGroupCfg.D + d) {
+					if want := MakeRecord(base + uint64(i)); got != want {
+						t.Fatalf("tear %d: wave %d disk %d record %d: got %+v, want %+v", tearNth, w, d, i, got, want)
+					}
+				}
+			}
+		}
+		sys.ReleaseBuffer(buf)
+	}
+}

@@ -12,6 +12,21 @@ import (
 // Stats, and the trace. These tests run both paths side by side over the RAM
 // and file backends and require exact agreement.
 
+// vec cuts recs into a block vector of bs-record elements, in order; a
+// tail shorter than bs becomes a short last element, so malformed runs
+// stay expressible for the rejection tests.
+func vec(recs []Record, bs int) [][]Record {
+	var v [][]Record
+	for len(recs) > bs {
+		v = append(v, recs[:bs:bs])
+		recs = recs[bs:]
+	}
+	if len(recs) > 0 {
+		v = append(v, recs)
+	}
+	return v
+}
+
 // newGroupSystem builds a system over the named backend, loads sequential
 // records into PortionA, and attaches a trace.
 func newGroupSystem(t *testing.T, backend string, cfg Config) (*System, *Trace) {
@@ -213,7 +228,7 @@ func TestBlockRangeBounds(t *testing.T) {
 		}
 		t.Cleanup(func() { be.Close() })
 		for _, c := range cases {
-			x := []RangeXfer{{Disk: c.disk, Block: c.block0, Data: make([]Record, c.recs)}}
+			x := []RangeXfer{{Disk: c.disk, Block: c.block0, Blocks: vec(make([]Record, c.recs), bs)}}
 			if err := be.ReadBlockRanges(x); err == nil {
 				t.Errorf("%s: ReadBlockRanges accepted %s", name, c.name)
 			}
@@ -252,12 +267,12 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 		be := open(t, dir)
 		// Mix single-block and multi-block runs.
 		for blk := 0; blk < 3; blk++ {
-			if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: blk, Data: payload(blk)}}); err != nil {
+			if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: blk, Blocks: vec(payload(blk), bs)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		run := append(append(append([]Record{}, payload(3)...), payload(4)...), payload(5)...)
-		if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 3, Data: run}}); err != nil {
+		if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 3, Blocks: vec(run, bs)}}); err != nil {
 			t.Fatal(err)
 		}
 		if err := be.Sync(); err != nil {
@@ -279,7 +294,7 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 		}
 		for blk := 0; blk < nb; blk++ {
 			got := make([]Record, bs)
-			if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: blk, Data: got}}); err != nil {
+			if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: blk, Blocks: vec(got, bs)}}); err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, payload(blk)) {
@@ -290,7 +305,7 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 			}
 		}
 		run := make([]Record, 3*bs)
-		if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Data: run}}); err != nil {
+		if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Blocks: vec(run, bs)}}); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
@@ -325,4 +340,59 @@ func TestFileDiskMmapMatchesPread(t *testing.T) {
 	readAll(t, pread, true)
 	fileDiskMmap = false
 	readAll(t, mapped, false)
+}
+
+// TestGroupedIOAllocationFree pins the hot path's allocation budget: once
+// a buffer's scratch is warm, grouped and per-operation parallel I/O over a
+// striped memoryload allocate nothing — not the transfer batch, not the
+// block vectors, not the per-disk regrouping — on the RAM backend and on
+// both file backend paths.
+func TestGroupedIOAllocationFree(t *testing.T) {
+	cfg := testConfig()
+	group := groupShapes(cfg)["striped"]
+	for _, backend := range []string{"mem", "file", "file-pread"} {
+		t.Run(backend, func(t *testing.T) {
+			if backend == "file-pread" {
+				defer func(old bool) { fileDiskMmap = old }(fileDiskMmap)
+				fileDiskMmap = false
+			}
+			be := MemBackend()
+			if backend != "mem" {
+				be = FileBackend(t.TempDir())
+			}
+			sys, err := NewSystem(cfg, be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sys.Close() })
+			if err := sys.LoadRecords(PortionA, sequentialRecords(cfg.N)); err != nil {
+				t.Fatal(err)
+			}
+			buf := sys.AcquireBuffer()
+			defer sys.ReleaseBuffer(buf)
+			ops := map[string]func() error{
+				"ParallelReadGroup":  func() error { return sys.ParallelReadGroup(PortionA, group, buf) },
+				"ParallelWriteGroup": func() error { return sys.ParallelWriteGroup(PortionB, group, buf) },
+				"ParallelReadInto":   func() error { return sys.ParallelReadInto(PortionA, group[1], buf) },
+				"ParallelWriteFrom":  func() error { return sys.ParallelWriteFrom(PortionB, group[1], buf) },
+			}
+			for name, op := range ops {
+				if err := op(); err != nil { // warm-up: sizes the buffer's scratch
+					t.Fatalf("%s: %v", name, err)
+				}
+				var opErr error
+				allocs := testing.AllocsPerRun(20, func() {
+					if err := op(); err != nil {
+						opErr = err
+					}
+				})
+				if opErr != nil {
+					t.Fatalf("%s: %v", name, opErr)
+				}
+				if allocs != 0 {
+					t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+				}
+			}
+		})
+	}
 }

@@ -40,11 +40,10 @@ type instrumented struct {
 	be    Backend
 	obs   OpObserver
 	disks int // captured at Open to size PerDisk
-	bs    int // block size, captured at Open for block accounting
 }
 
 func (i *instrumented) Open(numDisks, numBlocks, blockSize int) error {
-	i.disks, i.bs = numDisks, blockSize
+	i.disks = numDisks
 	return i.be.Open(numDisks, numBlocks, blockSize)
 }
 
@@ -88,7 +87,7 @@ func (i *instrumented) WriteBlockRanges(xfers []RangeXfer) error {
 func (i *instrumented) sample(op string, xfers []RangeXfer, start time.Time) OpSample {
 	s := OpSample{Op: op, Runs: len(xfers), PerDisk: make([]int, i.disks), Start: start}
 	for _, x := range xfers {
-		n := len(x.Data) / i.bs
+		n := len(x.Blocks)
 		s.Blocks += n
 		s.PerDisk[x.Disk] += n
 	}

@@ -29,15 +29,15 @@ func TestInstrumentBackendSamples(t *testing.T) {
 
 	buf := make([]Record, 2*bs)
 	if err := be.WriteBlockRanges([]RangeXfer{
-		{Disk: 0, Block: 0, Data: buf[:bs]},
-		{Disk: 1, Block: 3, Data: buf[bs:]},
+		{Disk: 0, Block: 0, Blocks: vec(buf[:bs], bs)},
+		{Disk: 1, Block: 3, Blocks: vec(buf[bs:], bs)},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	rbuf := make([]Record, 3*bs)
 	if err := be.ReadBlockRanges([]RangeXfer{
-		{Disk: 0, Block: 0, Data: rbuf[:2*bs]},
-		{Disk: 1, Block: 3, Data: rbuf[2*bs:]},
+		{Disk: 0, Block: 0, Blocks: vec(rbuf[:2*bs], bs)},
+		{Disk: 1, Block: 3, Blocks: vec(rbuf[2*bs:], bs)},
 	}); err != nil {
 		t.Fatal(err)
 	}

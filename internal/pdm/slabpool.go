@@ -5,10 +5,13 @@ import "sync"
 // slabPools hands out reusable record arenas keyed by record count. The
 // streaming data plane (System.LoadFrom/DumpTo, and through them every
 // bmmcd upload/download stream) acquires one arena per stream instead of
-// allocating per call; a daemon serving many concurrent streams over
-// datasets of differing geometries therefore keeps one pool per distinct
-// slab size. The map holds *sync.Pool values and only grows — the set of
-// geometries a process touches is small and stable.
+// allocating per call, and System.AcquireBuffer draws the memoryload
+// buffers of every engine pass from here, so a chain of passes reuses the
+// same memoryloads instead of allocating and zeroing three per pass. A
+// daemon serving many concurrent streams and jobs over datasets of
+// differing geometries therefore keeps one pool per distinct slab size.
+// The map holds *sync.Pool values and only grows — the set of geometries
+// a process touches is small and stable.
 var slabPools sync.Map // map[int]*sync.Pool
 
 // AcquireSlab returns a record arena of exactly n records from the pool,

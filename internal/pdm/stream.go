@@ -55,16 +55,9 @@ func (s *System) LoadFrom(ctx context.Context, p Portion, r io.Reader) (int64, e
 	// alias the arena, so the backend copies each block exactly once (and
 	// file backends write the slab bytes as-is).
 	stripeRecs := cfg.B * cfg.D
-	xs := make([]RangeXfer, cfg.D)
+	xs, vecs := make([]RangeXfer, cfg.D), make([][]Record, cfg.D)
 	for stripe := 0; stripe < cfg.Stripes(); stripe++ {
-		base := stripe * stripeRecs
-		for disk := 0; disk < cfg.D; disk++ {
-			xs[disk] = RangeXfer{
-				Disk:  disk,
-				Block: s.physBlock(p, stripe),
-				Data:  slab[base+disk*cfg.B : base+(disk+1)*cfg.B],
-			}
-		}
+		s.stripeXfers(xs, vecs, p, stripe, slab[stripe*stripeRecs:(stripe+1)*stripeRecs])
 		if err := s.be.WriteBlockRanges(xs); err != nil {
 			return read, err
 		}
@@ -86,7 +79,7 @@ func (s *System) DumpTo(ctx context.Context, p Portion, w io.Writer) (int64, err
 	slab := AcquireSlab(cs * stripeRecs)
 	defer ReleaseSlab(slab)
 	viewer, _ := s.be.(BlockViewer)
-	xs := make([]RangeXfer, 0, cfg.D)
+	xs, vecs := make([]RangeXfer, 0, cfg.D), make([][]Record, cfg.D)
 	var written int64
 	for stripe0 := 0; stripe0 < cfg.Stripes(); stripe0 += cs {
 		if err := ctx.Err(); err != nil {
@@ -104,7 +97,8 @@ func (s *System) DumpTo(ctx context.Context, p Portion, w io.Writer) (int64, err
 						continue
 					}
 				}
-				xs = append(xs, RangeXfer{Disk: disk, Block: s.physBlock(p, stripe0+sw), Data: dst})
+				vecs[disk] = dst
+				xs = append(xs, RangeXfer{Disk: disk, Block: s.physBlock(p, stripe0+sw), Blocks: vecs[disk : disk+1 : disk+1]})
 			}
 			if len(xs) > 0 {
 				if err := s.be.ReadBlockRanges(xs); err != nil {

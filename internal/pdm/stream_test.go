@@ -151,7 +151,7 @@ func TestFileDiskWireFormat(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(521))
 	recs := randomRecords(rng, bsize)
-	if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Data: recs}}); err != nil {
+	if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Blocks: [][]Record{recs}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := be.Sync(); err != nil {
@@ -170,7 +170,7 @@ func TestFileDiskWireFormat(t *testing.T) {
 		t.Fatal("file bytes diverge from per-record Encode wire format")
 	}
 	got := make([]Record, bsize)
-	if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Data: got}}); err != nil {
+	if err := be.ReadBlockRanges([]RangeXfer{{Disk: 0, Block: 2, Blocks: [][]Record{got}}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range recs {
@@ -191,7 +191,7 @@ func TestMemDiskBlockView(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := sequentialRecords(4)
-	if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 1, Data: recs}}); err != nil {
+	if err := be.WriteBlockRanges([]RangeXfer{{Disk: 0, Block: 1, Blocks: [][]Record{recs}}}); err != nil {
 		t.Fatal(err)
 	}
 	viewer := be.(BlockViewer)

@@ -192,6 +192,18 @@ func (s *System) physBlock(p Portion, block int) int {
 	return int(p)*s.cfg.BlocksPerDisk() + block
 }
 
+// stripeXfers fills xs with the D one-block runs moving stripe `stripe`
+// of portion p to or from recs, the stripe's D*B records in address
+// order: block d of the stripe is recs[d*B:(d+1)*B] and lives on disk d.
+// vecs (D entries) backs the runs' vectors.
+func (s *System) stripeXfers(xs []RangeXfer, vecs [][]Record, p Portion, stripe int, recs []Record) {
+	b := s.cfg.B
+	for disk := range xs {
+		vecs[disk] = recs[disk*b : (disk+1)*b]
+		xs[disk] = RangeXfer{Disk: disk, Block: s.physBlock(p, stripe), Blocks: vecs[disk : disk+1 : disk+1]}
+	}
+}
+
 // ParallelRead performs one parallel read: every listed block (at most one
 // per disk) is copied from portion p into its memory frame. It counts as
 // exactly one parallel I/O regardless of how many disks participate.
@@ -240,12 +252,10 @@ func (s *System) LoadRecords(p Portion, records []Record) error {
 	// slices aliasing the caller's records — address order within a
 	// stripe is exactly D consecutive blocks, one per disk, so nothing
 	// needs staging through a scratch block.
-	xs := make([]RangeXfer, s.cfg.D)
+	xs, vecs := make([]RangeXfer, s.cfg.D), make([][]Record, s.cfg.D)
+	stripeRecs := s.cfg.B * s.cfg.D
 	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
-		for disk := 0; disk < s.cfg.D; disk++ {
-			base := s.cfg.Addr(stripe, disk, 0)
-			xs[disk] = RangeXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: records[base : base+uint64(s.cfg.B)]}
-		}
+		s.stripeXfers(xs, vecs, p, stripe, records[stripe*stripeRecs:(stripe+1)*stripeRecs])
 		if err := s.be.WriteBlockRanges(xs); err != nil {
 			return err
 		}
@@ -261,12 +271,10 @@ func (s *System) LoadRecords(p Portion, records []Record) error {
 // portion holding the output of the most recent pass.
 func (s *System) DumpRecords(p Portion) ([]Record, error) {
 	out := make([]Record, s.cfg.N)
-	xs := make([]RangeXfer, s.cfg.D)
+	xs, vecs := make([]RangeXfer, s.cfg.D), make([][]Record, s.cfg.D)
+	stripeRecs := s.cfg.B * s.cfg.D
 	for stripe := 0; stripe < s.cfg.Stripes(); stripe++ {
-		for disk := 0; disk < s.cfg.D; disk++ {
-			base := s.cfg.Addr(stripe, disk, 0)
-			xs[disk] = RangeXfer{Disk: disk, Block: s.physBlock(p, stripe), Data: out[base : base+uint64(s.cfg.B)]}
-		}
+		s.stripeXfers(xs, vecs, p, stripe, out[stripe*stripeRecs:(stripe+1)*stripeRecs])
 		if err := s.be.ReadBlockRanges(xs); err != nil {
 			return nil, err
 		}
@@ -287,7 +295,7 @@ func (s *System) RecordAt(p Portion, x uint64) (Record, error) {
 	}
 	buf := AcquireSlab(s.cfg.B)
 	defer ReleaseSlab(buf)
-	xf := []RangeXfer{{Disk: disk, Block: block, Data: buf}}
+	xf := []RangeXfer{{Disk: disk, Block: block, Blocks: [][]Record{buf}}}
 	if err := s.be.ReadBlockRanges(xf); err != nil {
 		return Record{}, err
 	}

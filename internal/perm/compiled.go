@@ -53,6 +53,16 @@ func (p BMMC) Compile() *Compiled {
 // copy per run.
 func (ca *Compiled) RunBits() int { return ca.runBits }
 
+// LowTable returns the partial products of the low address byte:
+// LowTable()[v] = A·v over GF(2), with no complement. Because
+// y = Ax ⊕ c is affine,
+//
+//	Apply(x) == Apply(x &^ 0xff) ^ LowTable()[x & 0xff]
+//
+// for every x, so a kernel walking consecutive addresses pays one Apply
+// per aligned 256-address chunk and one lookup and XOR per address.
+func (ca *Compiled) LowTable() *[256]uint64 { return &ca.tab[0] }
+
 // Apply maps a source address to its target address, equal to
 // BMMC.Apply for addresses below 2^n.
 func (ca *Compiled) Apply(x uint64) uint64 {

@@ -40,6 +40,29 @@ func TestCompiledWideAddresses(t *testing.T) {
 	}
 }
 
+// TestCompiledLowTableIsAffine pins the identity the incremental scatter
+// kernels rest on: y = Ax ⊕ c is affine, so the image of x is the image of
+// its 256-aligned chunk base XOR the low byte's partial product.
+func TestCompiledLowTableIsAffine(t *testing.T) {
+	rng := rand.New(rand.NewSource(114))
+	for _, n := range []int{6, 8, 20, 30} {
+		for trial := 0; trial < 8; trial++ {
+			p := MustNew(gf2.RandomNonsingular(rng, n), gf2.RandomVec(rng, n))
+			ca := p.Compile()
+			tab := ca.LowTable()
+			for i := 0; i < 2000; i++ {
+				x := rng.Uint64() & uint64(gf2.Mask(n))
+				if got, want := ca.Apply(x&^0xff)^tab[x&0xff], ca.Apply(x); got != want {
+					t.Fatalf("n=%d x=%#x: Apply(x&^0xff)^T[x&0xff] = %#x, Apply(x) = %#x", n, x, got, want)
+				}
+				if want := p.Apply(x); ca.Apply(x) != want {
+					t.Fatalf("n=%d x=%#x: compiled %#x, direct %#x", n, x, ca.Apply(x), want)
+				}
+			}
+		}
+	}
+}
+
 func TestCompiledExhaustiveSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(112))
 	for n := 1; n <= 12; n++ {

@@ -3,8 +3,14 @@
 // that is allowed to call them because it counts the parallel I/Os.
 package pdm
 
+type Record struct {
+	Key, Tag uint64
+}
+
+// RangeXfer is one block run: a vector of one record slice per block.
 type RangeXfer struct {
 	Disk, Block int
+	Blocks      [][]Record
 }
 
 type Backend interface {
