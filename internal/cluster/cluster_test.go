@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -450,6 +451,88 @@ func TestClusterDownloadDuringJoin(t *testing.T) {
 	close(stop)
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterJoinAdoptKeepsNewPlacements: a dataset the coordinator places
+// on a worker while that worker's join is still adopting must survive the
+// adoption. Join puts the worker on the ring before it lists the worker's
+// datasets, so the listing can include a dataset the coordinator has just
+// placed there. That copy is the placement's own, not a stale one; deleting
+// it loses the dataset.
+func TestClusterJoinAdoptKeepsNewPlacements(t *testing.T) {
+	tc := &testCluster{t: t}
+	// A slow heartbeat cadence: the joiner below has no Member beating for
+	// it, and must not be evicted while the test runs.
+	tc.coord = cluster.New(cluster.Options{HeartbeatInterval: time.Second, Seed: 44})
+	tc.coordSrv, tc.coordURL = serveCoord(t, tc.coord, "127.0.0.1:0")
+	tc.addWorker(0, nil)
+	tc.waitWorkers(1)
+	t.Cleanup(tc.teardown)
+	c := tc.client()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	// The joiner holds its dataset listing until the test has placed its
+	// datasets, so every placement lands inside the adoption window.
+	mgr, err := service.NewManager(service.ManagerConfig{Workers: 2, QueueDepth: 8, Dir: t.TempDir(), Seed: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	h := service.NewHandler(mgr, nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/v1/datasets" {
+			once.Do(func() { close(listing) })
+			<-release
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		mgr.Shutdown(context.Background())
+	})
+
+	joined := make(chan error, 1)
+	// The joiner is "w3": FNV hashing gives "w2" only a few percent of
+	// the ring next to "w1", "w3" over half.
+	go func() { joined <- tc.coord.Join("w3", srv.URL) }()
+	<-listing // w3 is on the ring and its adoption is listing its datasets
+	inputs := map[string][]byte{}
+	for i := 0; i < 8; i++ {
+		ds, err := c.CreateDataset(ctx, client.CreateDatasetRequest{Config: testCfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := makeInput(testCfg.N)
+		if err := c.UploadDataset(ctx, ds.ID, bytes.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+		inputs[ds.ID] = in
+	}
+	close(release)
+	if err := <-joined; err != nil {
+		t.Fatalf("join: %v", err)
+	}
+
+	onJoiner := 0
+	for _, w := range tc.coord.Workers() {
+		if w.ID == "w3" {
+			onJoiner = w.Datasets
+		}
+	}
+	if onJoiner == 0 {
+		t.Fatal("no dataset was placed on the joining worker; the test is vacuous")
+	}
+	for id, want := range inputs {
+		var got bytes.Buffer
+		if err := c.DownloadDataset(ctx, id, &got); err != nil {
+			t.Fatalf("downloading %s after the join: %v", id, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("dataset %s lost bytes across the join", id)
+		}
 	}
 }
 
