@@ -316,7 +316,9 @@ func (c *Coordinator) Leave(id string) error {
 // the form "<base>-s<j>of<k>") are grouped back into their striped
 // placement; whole datasets adopt directly. Ids already placed elsewhere
 // are left alone: the established placement wins and the stale copy is
-// deleted from the joiner.
+// deleted from the joiner. A copy the placement already locates on the
+// joiner is the placement's own — the coordinator put it there after the
+// join added the worker to the ring — and stays.
 func (c *Coordinator) adopt(workerID, addr string) {
 	// Adoption is driven by the worker heartbeat, not an inbound request:
 	// there is no caller context to inherit.
@@ -334,15 +336,18 @@ func (c *Coordinator) adopt(workerID, addr string) {
 		if ds.Released {
 			continue
 		}
+		own := stripeLoc{worker: workerID, dsID: ds.ID}
 		base, j, k, striped := parseStripeID(ds.ID)
 		if !striped {
-			if _, exists := c.placements[ds.ID]; exists {
-				stale = append(stale, ds.ID)
+			if p, exists := c.placements[ds.ID]; exists {
+				if p.stripes[0] != own {
+					stale = append(stale, ds.ID)
+				}
 				continue
 			}
 			c.placements[ds.ID] = &placement{
 				id: ds.ID, cfg: ds.Config, backend: ds.Backend, scfg: ds.Config,
-				stripes: []stripeLoc{{worker: workerID, dsID: ds.ID}},
+				stripes: []stripeLoc{own},
 				created: ds.Created,
 			}
 			c.dsOrder = append(c.dsOrder, ds.ID)
@@ -360,10 +365,12 @@ func (c *Coordinator) adopt(workerID, addr string) {
 			c.dsOrder = append(c.dsOrder, base)
 		}
 		if !p.striped || j >= len(p.stripes) || p.stripes[j].worker != "" {
-			stale = append(stale, ds.ID)
+			if !p.striped || j >= len(p.stripes) || p.stripes[j] != own {
+				stale = append(stale, ds.ID)
+			}
 			continue
 		}
-		p.stripes[j] = stripeLoc{worker: workerID, dsID: ds.ID}
+		p.stripes[j] = own
 	}
 	// Striped placements with stripes still missing stay in the table —
 	// placementOf answers 503 for them until the holders re-join, which
