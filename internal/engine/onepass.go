@@ -343,7 +343,11 @@ func (st *mldStrategy) writes(ml int, _ loadPlan, shards []any) ([][]pdm.BlockIO
 // record j of recs moves to dst[y & mask] for y = yHi ^ low[j], the image
 // of its source address. It returns the OR over all records of
 // (y >> m) ^ want, which is zero exactly when every record's memoryload is
-// want. Kept out of line so the loop runs in registers.
+// want. It is kept out of line (go:noinline): inlined into a strategy's
+// scatter, the loop shares registers with that function's state and
+// spills on every record, and BenchmarkScatterKernelRecord runs slower.
+//
+//go:noinline
 func scatterChunk(dst, recs []pdm.Record, low []uint64, yHi, mask, want uint64, m uint) uint64 {
 	low = low[:len(recs)]
 	var bad uint64
@@ -359,7 +363,10 @@ func scatterChunk(dst, recs []pdm.Record, low []uint64, yHi, mask, want uint64, 
 // relative block's records in fill and holds each block to one target
 // memoryload in loadOf (-1 until first seen). It stops at the first record
 // whose block already maps to another memoryload and returns that block
-// and the record's memoryload; badR is -1 when the chunk is clean.
+// and the record's memoryload; badR is -1 when the chunk is clean. Kept
+// out of line like scatterChunk.
+//
+//go:noinline
 func scatterChunkMLD(dst, recs []pdm.Record, low []uint64, yHi, mask, frameMask uint64, b, m uint, fill, loadOf []int) (badR, badL int) {
 	low = low[:len(recs)]
 	for j, rec := range recs {

@@ -686,12 +686,12 @@ type TornOptions struct {
 
 // TornBackend tears coalesced range transfers midway: a torn k-block
 // range moves only a prefix of its vector, the first 1..k-1 blocks (the
-// tear point is seeded),
-// then fails with a wrapped ErrInjectedFault. Single-block runs are
-// never torn — blocks land atomically, exactly the failure surface the
-// grouped parallel-I/O path must survive: per-wave accounting must not
-// double-count or lose operations, and the fallback-to-loop path must
-// leave the records exactly as the per-block reference semantics would.
+// tear point is seeded), then fails with a wrapped ErrInjectedFault.
+// Single-block runs are never torn — blocks land atomically, exactly the
+// failure surface the grouped parallel-I/O path must survive: per-wave
+// accounting must not double-count or lose operations, and the
+// fallback-to-loop path must leave the records exactly as the per-block
+// reference semantics would.
 type TornBackend struct {
 	inner chaosInner
 	o     TornOptions
