@@ -200,15 +200,21 @@ func (b *memBackend) WriteBlockRanges(xfers []RangeXfer) error { return b.each(I
 // the disk's array.
 func (b *memBackend) moveRun(kind IOKind, x RangeXfer) error {
 	bs := b.blockSize
-	disk := b.data[x.Disk][x.Block*bs : (x.Block+len(x.Blocks))*bs]
-	for k, blk := range x.Blocks {
+	copyRun(kind, b.data[x.Disk][x.Block*bs:(x.Block+len(x.Blocks))*bs], x.Blocks, bs)
+	return nil
+}
+
+// copyRun copies a run between span, its len(blocks)*bs records laid out
+// as stored, and the run's block vector: into the vector for a read, out
+// of it for a write.
+func copyRun(kind IOKind, span []Record, blocks [][]Record, bs int) {
+	for k, blk := range blocks {
 		if kind == IORead {
-			copy(blk, disk[k*bs:(k+1)*bs])
+			copy(blk, span[k*bs:(k+1)*bs])
 		} else {
-			copy(disk[k*bs:(k+1)*bs], blk)
+			copy(span[k*bs:(k+1)*bs], blk)
 		}
 	}
-	return nil
 }
 
 // BlockView implements BlockViewer: the view is the stored block itself.

@@ -134,14 +134,7 @@ func (b *fileBackend) WriteBlockRanges(xfers []RangeXfer) error { return b.each(
 func (b *fileBackend) moveRun(kind IOKind, x RangeXfer) error {
 	d, bs := b.disks[x.Disk], b.blockSize
 	if d.mapped != nil {
-		disk := d.mapped[x.Block*bs : (x.Block+len(x.Blocks))*bs]
-		for k, blk := range x.Blocks {
-			if kind == IORead {
-				copy(blk, disk[k*bs:(k+1)*bs])
-			} else {
-				copy(disk[k*bs:(k+1)*bs], blk)
-			}
-		}
+		copyRun(kind, d.mapped[x.Block*bs:(x.Block+len(x.Blocks))*bs], x.Blocks, bs)
 		return nil
 	}
 	off := int64(x.Block) * int64(bs) * RecordBytes
@@ -177,9 +170,7 @@ func (d *diskFile) moveSpan(kind IOKind, x RangeXfer, off int64, bs int) error {
 		}
 		span = d.scratch[:n]
 		if kind == IOWrite {
-			for k, blk := range x.Blocks {
-				copy(span[k*bs:(k+1)*bs], blk)
-			}
+			copyRun(IOWrite, span, x.Blocks, bs)
 		}
 	}
 	if kind == IOWrite {
@@ -192,9 +183,7 @@ func (d *diskFile) moveSpan(kind IOKind, x RangeXfer, off int64, bs int) error {
 		return fmt.Errorf("pdm: read blocks [%d,%d): %w", x.Block, x.Block+len(x.Blocks), err)
 	}
 	if !direct {
-		for k, blk := range x.Blocks {
-			copy(blk, span[k*bs:(k+1)*bs])
-		}
+		copyRun(IORead, span, x.Blocks, bs)
 	}
 	return nil
 }
