@@ -364,10 +364,11 @@ func (c *Coordinator) adopt(workerID, addr string) {
 			c.placements[base] = p
 			c.dsOrder = append(c.dsOrder, base)
 		}
+		if p.striped && j < len(p.stripes) && p.stripes[j] == own {
+			continue // the placement's own copy
+		}
 		if !p.striped || j >= len(p.stripes) || p.stripes[j].worker != "" {
-			if !p.striped || j >= len(p.stripes) || p.stripes[j] != own {
-				stale = append(stale, ds.ID)
-			}
+			stale = append(stale, ds.ID)
 			continue
 		}
 		p.stripes[j] = own
