@@ -159,6 +159,51 @@ func applyPerm(p bmmc.Permutation, in []byte) []byte {
 	return out
 }
 
+// ioCounts tallies the block-run calls, and the blocks they carry, that
+// reach the workers' storage.
+type ioCounts struct {
+	readCalls, readBlocks, writeCalls, writeBlocks atomic.Int64
+}
+
+func (c *ioCounts) reset() {
+	c.readCalls.Store(0)
+	c.readBlocks.Store(0)
+	c.writeCalls.Store(0)
+	c.writeBlocks.Store(0)
+}
+
+func (c *ioCounts) snapshot() [4]int64 {
+	return [4]int64{c.readCalls.Load(), c.readBlocks.Load(), c.writeCalls.Load(), c.writeBlocks.Load()}
+}
+
+// countingBackend counts the transfers of the backend it wraps. It hides
+// the copy-free block views, so downloads read through ReadBlockRanges
+// too.
+type countingBackend struct {
+	bmmc.Backend
+	c *ioCounts
+}
+
+func (b countingBackend) ReadBlockRanges(xs []pdm.RangeXfer) error {
+	b.c.readCalls.Add(1)
+	b.c.readBlocks.Add(runBlocks(xs))
+	return b.Backend.ReadBlockRanges(xs)
+}
+
+func (b countingBackend) WriteBlockRanges(xs []pdm.RangeXfer) error {
+	b.c.writeCalls.Add(1)
+	b.c.writeBlocks.Add(runBlocks(xs))
+	return b.Backend.WriteBlockRanges(xs)
+}
+
+func runBlocks(xs []pdm.RangeXfer) int64 {
+	var n int64
+	for _, x := range xs {
+		n += int64(len(x.Blocks))
+	}
+	return n
+}
+
 // waitNoLeak polls the goroutine count back down to the baseline.
 func waitNoLeak(t *testing.T, base int) {
 	t.Helper()
@@ -233,11 +278,15 @@ func TestClusterDatasetLifecycle(t *testing.T) {
 // A_hl block is zero, so it decomposes into per-node sub-passes plus a
 // pure relabel exchange; bit reversal mixes stripe and local bits, so the
 // coordinator routes every record itself. Both must be record-identical
-// to a single-node oracle of the full permutation.
+// to a single-node oracle of the full permutation, and the exchange must
+// report the transfers the workers' storage really saw.
 func TestClusterStripedJob(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
-		tc := startTestCluster(t, 3, nil)
+		var counts ioCounts
+		tc := startTestCluster(t, 3, func(int) func(string, bmmc.Backend) bmmc.Backend {
+			return func(_ string, be bmmc.Backend) bmmc.Backend { return countingBackend{be, &counts} }
+		})
 		c := tc.client()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
@@ -253,6 +302,7 @@ func TestClusterStripedJob(t *testing.T) {
 
 		want := input
 		for i, p := range []bmmc.Permutation{bmmc.GrayCode(testCfg.LgN()), bmmc.BitReversal(testCfg.LgN())} {
+			counts.reset()
 			j, err := c.Submit(ctx, client.NewDatasetSubmitRequest(ds.ID, p))
 			if err != nil {
 				t.Fatal(err)
@@ -270,8 +320,20 @@ func TestClusterStripedJob(t *testing.T) {
 			if i == 0 && final.Report.Passes < 4 {
 				t.Fatalf("Gray code should decompose into >= 4 per-stripe passes, got %d", final.Report.Passes)
 			}
-			if i == 1 && final.Report.Passes != 1 {
-				t.Fatalf("bit reversal should take the 1-pass coordinator exchange, got %d passes", final.Report.Passes)
+			if i == 1 {
+				// The exchange streams every stripe out of and back into
+				// the workers' disks once: N/(BD) stripe-wide reads and as
+				// many writes, N/B blocks each way.
+				pios, blocks := testCfg.N/(testCfg.B*testCfg.D), testCfg.N/testCfg.B
+				want := client.RunReport{Passes: 1, ParallelIOs: 2 * pios, ParallelReads: pios, ParallelWrites: pios,
+					BlocksRead: blocks, BlocksWritten: blocks}
+				if *final.Report != want {
+					t.Fatalf("bit reversal exchange reported %+v, want %+v", *final.Report, want)
+				}
+				if got := counts.snapshot(); got != [4]int64{int64(pios), int64(blocks), int64(pios), int64(blocks)} {
+					t.Fatalf("workers' storage saw [read calls, blocks, write calls, blocks] = %v, want %d stripe-wide calls of %d blocks each way",
+						got, pios, testCfg.D)
+				}
 			}
 			want = applyPerm(p, want)
 			var got bytes.Buffer

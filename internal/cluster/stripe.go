@@ -9,9 +9,11 @@ package cluster
 
 import (
 	"fmt"
+	"io"
 
 	bmmc "repro"
 	"repro/internal/gf2"
+	"repro/internal/perm"
 )
 
 // stripeConfig derives the geometry of one stripe of a k-striped dataset:
@@ -82,16 +84,120 @@ func decompose(p bmmc.Permutation, kappa int) (locals []bmmc.Permutation, nodeMa
 	return locals, nodeMap, true, nil
 }
 
-// permuteRecords applies y = p(x) to a full record image in the 16-byte
-// wire format — the coordinator-mediated exchange for permutations whose
-// A_hl block mixes stripe and local bits. O(N) coordinator memory, the
-// documented cost of the general path.
-func permuteRecords(p bmmc.Permutation, in []byte) []byte {
-	n := uint64(len(in)) / bmmc.RecordBytes
-	out := make([]byte, len(in))
-	for x := uint64(0); x < n; x++ {
-		y := p.Apply(x)
-		copy(out[y*bmmc.RecordBytes:(y+1)*bmmc.RecordBytes], in[x*bmmc.RecordBytes:(x+1)*bmmc.RecordBytes])
+// exchangeReadBytes is the piece size in which the exchange reads a
+// stripe's download body. Routing io.Copy's default 32 KiB pieces made
+// the exchange about 10% slower than gathering the stripes first; 1 MiB
+// pieces brought it back to parity.
+const exchangeReadBytes = 1 << 20
+
+// exchangeSink is the general path's data plane, for permutations whose
+// A_hl block mixes stripe and local bits: it routes each stripe's
+// download straight into the N×16-byte target image as the bytes arrive,
+// so the coordinator holds one image and no gather copy. The record at
+// byte offset o of stripe j has source address j·N/k + o/16 and lands
+// at image offset p(x)·16. One sink serves the stripes of a job one
+// after the other: begin(j), the download, then finish().
+type exchangeSink struct {
+	ca    *perm.Compiled
+	image []byte // N×16 target image, filled as the stripes arrive
+	per   uint64 // records per stripe
+	buf   []byte // ReadFrom's reused read buffer
+
+	stripe    int
+	next, end uint64                 // source addresses: next whole record, one past the stripe
+	part      [bmmc.RecordBytes]byte // a record split across two writes
+	partN     int
+}
+
+// newExchangeSink compiles p once for a job over k stripes of per
+// records each and allocates its target image.
+func newExchangeSink(p bmmc.Permutation, per, k int) *exchangeSink {
+	stripeBytes := per * bmmc.RecordBytes
+	return &exchangeSink{
+		ca:    p.Compile(),
+		image: make([]byte, k*stripeBytes),
+		per:   uint64(per),
+		buf:   make([]byte, min(exchangeReadBytes, stripeBytes)),
 	}
-	return out
+}
+
+// begin readies the sink for stripe j's records.
+func (s *exchangeSink) begin(j int) {
+	s.stripe = j
+	s.next = uint64(j) * s.per
+	s.end = s.next + s.per
+	s.partN = 0
+}
+
+// finish checks that stripe j delivered exactly N/k whole records. Write
+// refuses anything past them, so a stripe that reached its last record
+// carries no partial one.
+func (s *exchangeSink) finish() error {
+	if s.next != s.end {
+		return fmt.Errorf("stripe %d delivered %d records and %d stray bytes, want %d records",
+			s.stripe, s.per-(s.end-s.next), s.partN, s.per)
+	}
+	return nil
+}
+
+// Write routes p, carrying a record split across writes over to the
+// next one. Bytes beyond the stripe's N/k records fail the write.
+func (s *exchangeSink) Write(p []byte) (int, error) {
+	if room := (s.end-s.next)*bmmc.RecordBytes - uint64(s.partN); uint64(len(p)) > room {
+		return 0, fmt.Errorf("stripe %d delivered more than its %d records", s.stripe, s.per)
+	}
+	n := len(p)
+	if s.partN > 0 {
+		c := copy(s.part[s.partN:], p)
+		if s.partN += c; s.partN < bmmc.RecordBytes {
+			return n, nil
+		}
+		s.route(s.part[:])
+		s.partN, p = 0, p[c:]
+	}
+	whole := len(p) &^ (bmmc.RecordBytes - 1)
+	s.route(p[:whole])
+	s.partN = copy(s.part[:], p[whole:])
+	return n, nil
+}
+
+// ReadFrom reads r in exchangeReadBytes pieces and routes each, so
+// io.Copy from a download body skips its own 32 KiB buffer.
+func (s *exchangeSink) ReadFrom(r io.Reader) (int64, error) {
+	var total int64
+	for {
+		n, err := r.Read(s.buf)
+		if n > 0 {
+			total += int64(n)
+			if _, werr := s.Write(s.buf[:n]); werr != nil {
+				return total, werr
+			}
+		}
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
+	}
+}
+
+// route moves the whole records of src, the first at source address
+// s.next, to their targets. y = Ax ⊕ c is affine, so
+// p(x) = p(x &^ 0xff) ⊕ A·(x & 0xff): one Compiled.Apply per aligned
+// 256-address chunk, then one lookup and one XOR per record.
+func (s *exchangeSink) route(src []byte) {
+	x, low := s.next, s.ca.LowTable()
+	for len(src) > 0 {
+		hi := s.ca.Apply(x &^ 0xff)
+		i := x & 0xff
+		m := min(256-i, uint64(len(src))/bmmc.RecordBytes)
+		for _, lo := range low[i : i+m] {
+			y := (hi ^ lo) * bmmc.RecordBytes
+			*(*[bmmc.RecordBytes]byte)(s.image[y:]) = [bmmc.RecordBytes]byte(src)
+			src = src[bmmc.RecordBytes:]
+		}
+		x += m
+	}
+	s.next = x
 }

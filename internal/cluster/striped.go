@@ -116,7 +116,7 @@ func (sj *stripedJob) status() *service.JobStatus {
 // returns its initial status. The pass decomposes into per-node sub-jobs
 // plus a block exchange when the permutation's A_hl block is zero;
 // otherwise the coordinator routes every record itself (the general
-// path, O(N) coordinator memory).
+// path, one N×16-byte image in coordinator memory).
 func (c *Coordinator) submitStriped(req service.SubmitRequest, p *placement) (*service.JobStatus, error) {
 	perm, err := bmmc.ParsePermutation([]byte(req.Perm))
 	if err != nil {
@@ -266,51 +266,53 @@ func (c *Coordinator) runSubJob(ctx context.Context, sj *stripedJob, s stripeLoc
 }
 
 // runStripedExchange is the general path for permutations whose A_hl
-// block mixes stripe and local bits: gather every stripe, route records
-// in coordinator memory, scatter the stripes back.
+// block mixes stripe and local bits: every stripe's download is routed
+// into one target image as it arrives, then each stripe's slice of the
+// image is uploaded back. The report counts the stripe-wide transfers
+// this streams through the workers' disks: N/(BD) reads and as many
+// writes, one pass.
 func (c *Coordinator) runStripedExchange(sj *stripedJob, perm bmmc.Permutation, p *placement) error {
 	c.mu.Lock()
 	stripes := append([]stripeLoc(nil), p.stripes...)
 	scfg := p.scfg
 	c.mu.Unlock()
-	per := int64(scfg.N) * bmmc.RecordBytes
-	buf := newGatherBuffer(per, len(stripes))
-	for _, s := range stripes {
-		wc, err := c.clientFor(s.worker)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		if err := wc.DownloadDataset(sj.ctx, s.dsID, buf); err != nil {
-			return asGatewayErr(err)
-		}
-		sj.addSpan(spanSince(obs.SpanGather, s.worker, start))
-	}
-	out := permuteRecords(perm, buf.Bytes())
+	sink := newExchangeSink(perm, scfg.N, len(stripes))
 	for j, s := range stripes {
 		wc, err := c.clientFor(s.worker)
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		if err := wc.UploadDataset(sj.ctx, s.dsID, bytes.NewReader(out[int64(j)*per:int64(j+1)*per])); err != nil {
+		sink.begin(j)
+		if err := wc.DownloadDataset(sj.ctx, s.dsID, sink); err != nil {
+			return asGatewayErr(err)
+		}
+		if err := sink.finish(); err != nil {
+			return err
+		}
+		sj.addSpan(spanSince(obs.SpanGather, s.worker, start))
+	}
+	per := int64(scfg.N) * bmmc.RecordBytes
+	for j, s := range stripes {
+		wc, err := c.clientFor(s.worker)
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		if err := wc.UploadDataset(sj.ctx, s.dsID, bytes.NewReader(sink.image[int64(j)*per:int64(j+1)*per])); err != nil {
 			return asGatewayErr(err)
 		}
 		sj.addSpan(spanSince(obs.SpanScatter, s.worker, start))
 	}
+	pios := len(stripes) * scfg.N / (scfg.B * scfg.D)
+	blocks := len(stripes) * scfg.N / scfg.B
 	sj.mu.Lock()
-	sj.report = &service.RunReport{Passes: 1}
+	sj.report = &service.RunReport{
+		Passes: 1, ParallelIOs: 2 * pios, ParallelReads: pios, ParallelWrites: pios,
+		BlocksRead: blocks, BlocksWritten: blocks,
+	}
 	sj.mu.Unlock()
 	return nil
-}
-
-// newGatherBuffer returns the exchange's gather buffer for k stripes of
-// stripeBytes each. DownloadDataset fills it through io.Copy, and
-// bytes.Buffer.ReadFrom wants bytes.MinRead bytes of free space before
-// every read: the slack keeps the nearly full buffer from being
-// reallocated at twice its size.
-func newGatherBuffer(stripeBytes int64, k int) *bytes.Buffer {
-	return bytes.NewBuffer(make([]byte, 0, stripeBytes*int64(k)+bytes.MinRead))
 }
 
 // createDataset places a new dataset: one worker for ordinary datasets,
