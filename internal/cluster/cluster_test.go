@@ -325,10 +325,10 @@ func TestClusterStripedJob(t *testing.T) {
 				// the workers' disks once: N/(BD) stripe-wide reads and as
 				// many writes, N/B blocks each way.
 				pios, blocks := testCfg.N/(testCfg.B*testCfg.D), testCfg.N/testCfg.B
-				want := client.RunReport{Passes: 1, ParallelIOs: 2 * pios, ParallelReads: pios, ParallelWrites: pios,
+				wantRep := client.RunReport{Passes: 1, ParallelIOs: 2 * pios, ParallelReads: pios, ParallelWrites: pios,
 					BlocksRead: blocks, BlocksWritten: blocks}
-				if *final.Report != want {
-					t.Fatalf("bit reversal exchange reported %+v, want %+v", *final.Report, want)
+				if *final.Report != wantRep {
+					t.Fatalf("bit reversal exchange reported %+v, want %+v", *final.Report, wantRep)
 				}
 				if got := counts.snapshot(); got != [4]int64{int64(pios), int64(blocks), int64(pios), int64(blocks)} {
 					t.Fatalf("workers' storage saw [read calls, blocks, write calls, blocks] = %v, want %d stripe-wide calls of %d blocks each way",
