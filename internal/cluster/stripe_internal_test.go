@@ -152,31 +152,42 @@ func TestExchangeSinkStripeLength(t *testing.T) {
 }
 
 // TestExchangeSinkRoutesWithoutAllocating pins the one-image guarantee:
-// routing a piece, through Write or ReadFrom, allocates nothing, so the
-// image and the read buffer made with the sink are all it ever holds.
+// filling and routing a stripe's blocks, through Write or ReadFrom,
+// allocates nothing, so the image and the block made with the sink are
+// all it ever holds.
 func TestExchangeSinkRoutesWithoutAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n, k = 12, 4
 	p := crossingBMMC(t, rng, n, 2)
 	sink := newExchangeSink(p, (1<<n)/k, k)
-	piece := randomImage(rng, 100)[:100*bmmc.RecordBytes-5]
+	stripe := randomImage(rng, (1<<n)/k)
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink.begin(0)
-		if _, err := sink.Write(piece); err != nil {
+		for rest := stripe; len(rest) > 0; {
+			piece := rest[:min(len(rest), 100*bmmc.RecordBytes-5)]
+			if _, err := sink.Write(piece); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[len(piece):]
+		}
+		if err := sink.finish(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("Write allocated %v times per piece", allocs)
+		t.Errorf("Write allocated %v times per stripe", allocs)
 	}
 	var rd bytes.Reader
 	if allocs := testing.AllocsPerRun(100, func() {
 		sink.begin(0)
-		rd.Reset(piece)
+		rd.Reset(stripe)
 		if _, err := sink.ReadFrom(&rd); err != nil {
 			t.Fatal(err)
 		}
+		if err := sink.finish(); err != nil {
+			t.Fatal(err)
+		}
 	}); allocs != 0 {
-		t.Errorf("ReadFrom allocated %v times per piece", allocs)
+		t.Errorf("ReadFrom allocated %v times per stripe", allocs)
 	}
 }
 
@@ -197,7 +208,7 @@ func BenchmarkExchangeScatter(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(in)))
 			for b.Loop() {
-				exchange(b, bc.p, in, k, func() int { return exchangeReadBytes })
+				exchange(b, bc.p, in, k, func() int { return exchangeBlockBytes })
 			}
 		})
 	}
